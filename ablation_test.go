@@ -116,7 +116,7 @@ func BenchmarkAblationSFBFLYChannels(b *testing.B) {
 // static CTA chunks versus the paper's random placement.
 func BenchmarkExtensionPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Placement(benchScale, []string{"BP", "SRAD"})
+		rows, err := exp.Env{}.Placement(benchScale, []string{"BP", "SRAD"})
 		if err != nil {
 			b.Fatal(err)
 		}

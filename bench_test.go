@@ -34,7 +34,7 @@ const benchScale = 0.1
 // the memory network.
 func BenchmarkFig07(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig7(benchScale * 2)
+		r, err := exp.Env{}.Fig7(benchScale * 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkFig07(b *testing.B) {
 // imbalanced (paper: up to 11.7x per-HMC variance for CG.S).
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := exp.Fig10(benchScale)
+		rs, err := exp.Env{}.Fig10(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkFig14(b *testing.B) {
 // for uniform workloads, 9.5% for CG.S on dFBFLY.
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig15(benchScale)
+		rows, err := exp.Env{}.Fig15(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ var fig16Workloads = []string{"BP", "KMN", "BFS", "FWT"}
 // sMESH-2x/sTORUS-2x with fewer channels.
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig16(benchScale, fig16Workloads)
+		rows, err := exp.Env{}.Fig16(benchScale, fig16Workloads)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkFig16(b *testing.B) {
 // 20.3% average vs sMESH in the paper.
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig16(benchScale, fig16Workloads)
+		rows, err := exp.Env{}.Fig16(benchScale, fig16Workloads)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkFig17(b *testing.B) {
 // overlay < sFBFLY < sMESH host time for CG.S and FT.S.
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig18(benchScale)
+		rows, err := exp.Env{}.Fig18(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func BenchmarkFig18(b *testing.B) {
 // 13.5x at 16 GPUs, CP near-ideal, FWT lowest.
 func BenchmarkFig19(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, gm, err := exp.Fig19(benchScale*8, []int{1, 2, 4, 8})
+		rows, gm, err := exp.Env{}.Fig19(benchScale*8, []int{1, 2, 4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkFig19(b *testing.B) {
 // +20% L2 hit rate) and CTA stealing (paper: <1%).
 func BenchmarkCTASched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.CTASched(benchScale, []string{"SRAD", "BP"})
+		rows, err := exp.Env{}.CTASched(benchScale, []string{"SRAD", "BP"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func benchSweep(b *testing.B, width int) {
 	prev := par.SetParallelism(width)
 	defer par.SetParallelism(prev)
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig15(benchScale); err != nil {
+		if _, err := (exp.Env{}).Fig15(benchScale); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"memnet"
 	"memnet/internal/core"
 	"memnet/internal/exp"
 	"memnet/internal/fault"
@@ -54,7 +53,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-experiment timing on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile after the sweep to this file")
-	nopool := flag.Bool("nopool", false, "disable packet pooling (results are byte-identical either way; exists for CI verification)")
 	auditFlag := flag.Bool("audit", false, "check conservation invariants at every phase boundary of every run (results are byte-identical either way)")
 	traceDir := flag.String("trace", "", "write one Perfetto trace per run into this directory")
 	metricsDir := flag.String("metrics", "", "write one windowed-metrics CSV per run into this directory")
@@ -64,37 +62,27 @@ func main() {
 	degLinks := flag.Int("deg-links", 4, "max failed link pairs for the degradation sweep")
 	flag.Parse()
 	core.SetAuditDefault(*auditFlag)
-	core.SetPacketPoolDefault(!*nopool)
+	env := exp.Env{TraceDir: *traceDir, MetricsDir: *metricsDir, ProfileDir: *profileDir}
 	if *faultsFile != "" {
 		sched, err := fault.LoadFile(*faultsFile)
 		if err != nil {
 			fatal(err)
 		}
-		core.SetFaultDefault(sched)
+		env.Faults = sched
 	}
-	if *traceDir != "" || *metricsDir != "" {
-		var epoch memnet.Time
-		if *metricsEpoch != "" {
-			var err error
-			epoch, err = obs.ParseDuration(*metricsEpoch)
-			if err != nil {
+	if *metricsEpoch != "" {
+		epoch, err := obs.ParseDuration(*metricsEpoch)
+		if err != nil {
+			fatal(err)
+		}
+		env.MetricsEpoch = epoch
+	}
+	for _, dir := range []string{*traceDir, *metricsDir, *profileDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fatal(err)
 			}
 		}
-		for _, dir := range []string{*traceDir, *metricsDir} {
-			if dir != "" {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		core.SetObsDefault(*traceDir, *metricsDir, epoch)
-	}
-	if *profileDir != "" {
-		if err := os.MkdirAll(*profileDir, 0o755); err != nil {
-			fatal(err)
-		}
-		core.SetProfDefault(*profileDir)
 	}
 
 	// Fail fast on an invalid explicit -par instead of silently falling
@@ -124,7 +112,7 @@ func main() {
 	// Validate every parameter upfront — a bad scale, workload name or GPU
 	// count used to surface only once its first simulation was reached,
 	// possibly hours into a sweep.
-	params := exp.Params{Scale: *scale, Workloads: wls, GPUs: gpuCounts, DegLinks: *degLinks}
+	params := exp.Params{Scale: *scale, Workloads: wls, GPUs: gpuCounts, DegLinks: *degLinks, Env: env}
 	if *scale <= 0 {
 		fatal(fmt.Errorf("-scale must be positive, got %v", *scale))
 	}

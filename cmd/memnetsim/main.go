@@ -46,7 +46,6 @@ func main() {
 	metricsEpoch := flag.String("metrics-epoch", "", "metrics sampling window, e.g. 500ns or 1us (default 1us)")
 	profileOut := flag.String("profile", "", "write a latency-attribution profile of the run to this file (JSON, readable by memnetprof)")
 	dumpOnDeadlock := flag.Bool("dump-state-on-deadlock", false, "append a full network state dump to a phase-deadlock error")
-	nopool := flag.Bool("nopool", false, "disable packet pooling (results are byte-identical either way; exists for CI verification)")
 	auditFlag := flag.Bool("audit", false, "check conservation invariants at every phase boundary (results are byte-identical either way)")
 	faultsFile := flag.String("faults", "", "JSON fault-injection schedule (see internal/fault; empty = no faults)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for generated fault schedules and auto link picks")
@@ -59,7 +58,6 @@ func main() {
 	watchdog := flag.String("watchdog", "", "phase forward-progress window, e.g. 10ms; 'off' disables (default 5ms)")
 	flag.Parse()
 	core.SetAuditDefault(*auditFlag)
-	core.SetPacketPoolDefault(!*nopool)
 
 	a, err := memnet.ParseArch(*arch)
 	check(err)

@@ -11,53 +11,12 @@ import (
 )
 
 func main() {
-	for _, wl := range []string{"KMN", "CG.S"} {
-		cfg := memnet.DefaultConfig(memnet.GMN, wl)
-		cfg.Scale = 0.25
-		res, err := memnet.Run(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := res.Traffic
-		gpus := cfg.NumGPUs
-		hmcs := cfg.NumGPUs * cfg.HMCsPerGPU
-		var total float64
-		for g := 0; g < gpus; g++ {
-			for h := 0; h < hmcs; h++ {
-				total += float64(m.At(g, h))
-			}
-		}
-		fmt.Printf("%s — share of GPU<->HMC traffic (%%, rows=GPU, cols=HMC)\n", wl)
-		fmt.Printf("      ")
-		for h := 0; h < hmcs; h++ {
-			fmt.Printf("  h%02d", h)
-		}
-		fmt.Println()
-		for g := 0; g < gpus; g++ {
-			fmt.Printf("gpu%-3d", g)
-			for h := 0; h < hmcs; h++ {
-				fmt.Printf(" %4.1f", 100*float64(m.At(g, h))/total)
-			}
-			fmt.Println()
-		}
-		// Column imbalance (the paper reports up to 11.7x for CG.S).
-		min, max := -1.0, 0.0
-		for h := 0; h < hmcs; h++ {
-			var c float64
-			for g := 0; g < gpus; g++ {
-				c += float64(m.At(g, h))
-			}
-			if c > max {
-				max = c
-			}
-			if c > 0 && (min < 0 || c < min) {
-				min = c
-			}
-		}
-		if min > 0 {
-			fmt.Printf("per-HMC imbalance: %.1fx (max/min column)\n", max/min)
-		}
-		fmt.Println()
+	results, err := memnet.Fig10(0.25)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range results {
+		fmt.Println(r)
 	}
 	fmt.Println("Intra-cluster traffic (the 4x4 diagonal blocks) stays balanced by")
 	fmt.Println("cache-line interleaving even when inter-cluster traffic is not —")

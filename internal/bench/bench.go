@@ -254,7 +254,7 @@ const benchScale = 0.1
 // spread over 1/2/4 GPU memories, PCIe vs GMN) end to end.
 func Fig07(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7(benchScale * 2); err != nil {
+		if _, err := (exp.Env{}).Fig7(benchScale * 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ var fig16Workloads = []string{"BP", "KMN"}
 // Fig16 runs the sliced-topology comparison for two workloads.
 func Fig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig16(benchScale, fig16Workloads); err != nil {
+		if _, err := (exp.Env{}).Fig16(benchScale, fig16Workloads); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func benchSweep(b *testing.B, width int) {
 	prev := par.SetParallelism(width)
 	defer par.SetParallelism(prev)
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig15(benchScale); err != nil {
+		if _, err := (exp.Env{}).Fig15(benchScale); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -66,26 +66,3 @@ func TestProgressEvents(t *testing.T) {
 		t.Fatalf("progress-observed run diverges: %+v vs %+v", res, plain)
 	}
 }
-
-// TestProgressDefault checks the process-wide sink used by serving
-// layers: installed, it observes configs that set no explicit sink;
-// cleared, it observes nothing more.
-func TestProgressDefault(t *testing.T) {
-	var mu sync.Mutex
-	count := 0
-	SetProgressDefault(func(obs.ProgressEvent) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	mustRun(t, tiny(PCIe, "VA"))
-	SetProgressDefault(nil)
-	if count == 0 {
-		t.Fatal("default progress sink saw no events")
-	}
-	seen := count
-	mustRun(t, tiny(PCIe, "VA"))
-	if count != seen {
-		t.Fatalf("cleared default sink still saw events (%d -> %d)", seen, count)
-	}
-}

@@ -60,21 +60,3 @@ func TestStopPreTripped(t *testing.T) {
 		t.Fatalf("pre-tripped run returned %v, want ErrStopped", err)
 	}
 }
-
-// TestStopDefault checks the process-wide latch used by serving layers:
-// installed, it governs configs that set no explicit signal; cleared, it
-// governs nothing more.
-func TestStopDefault(t *testing.T) {
-	stop := &sim.Stop{}
-	stop.Trip("default latch")
-	SetStopDefault(stop)
-	defer SetStopDefault(nil)
-	_, err := Run(tiny(PCIe, "VA"))
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("run under a tripped default returned %v, want ErrStopped", err)
-	}
-	SetStopDefault(nil)
-	if _, err := Run(tiny(PCIe, "VA")); err != nil {
-		t.Fatalf("run after clearing the default failed: %v", err)
-	}
-}

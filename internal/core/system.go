@@ -114,9 +114,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if !packetPoolDefault.Load() {
-		cfg.Net.NoPacketPool = true
-	}
 	w := cfg.Custom
 	if w == nil {
 		var err error
@@ -202,11 +199,9 @@ func NewSystem(cfg Config) (*System, error) {
 		s.aud = audit.New(func() int64 { return int64(s.eng.Now()) })
 		s.registerAudits()
 	}
-	s.prog = cfg.progressFunc()
-	s.stop = cfg.stopSignal()
+	s.prog = cfg.Progress
+	s.stop = cfg.Stop
 	s.runLabel = w.Abbr + "/" + cfg.Arch.String()
-	s.cfg.resolveObs(w.Abbr)
-	s.cfg.resolveProf(w.Abbr)
 	if s.cfg.Profile || s.cfg.ProfileOut != "" {
 		s.profRun = prof.NewRun()
 		s.profRun.Label = s.runLabel

@@ -3,7 +3,6 @@ package exp
 import (
 	"testing"
 
-	"memnet/internal/core"
 	"memnet/internal/par"
 )
 
@@ -36,7 +35,7 @@ func TestFig19DeterministicAcrossParallelism(t *testing.T) {
 	run := func(p int) string {
 		prev := par.SetParallelism(p)
 		defer par.SetParallelism(prev)
-		rows, gm, err := Fig19(0.1, []int{1, 2})
+		rows, gm, err := Env{}.Fig19(0.1, []int{1, 2})
 		if err != nil {
 			t.Fatalf("par=%d: %v", p, err)
 		}
@@ -44,25 +43,5 @@ func TestFig19DeterministicAcrossParallelism(t *testing.T) {
 	}
 	if seq, parl := run(1), run(8); seq != parl {
 		t.Fatalf("Fig19 output differs between par=1 and par=8:\n--- par=1 ---\n%s\n--- par=8 ---\n%s", seq, parl)
-	}
-}
-
-// TestFig7DeterministicAcrossPooling pins the packet-pool recycling
-// contract: Release runs in both modes and Send assigns IDs from the same
-// counter, so reusing packet memory must not perturb a single simulated
-// cycle. A figure sweep is byte-identical with pooling on and off.
-func TestFig7DeterministicAcrossPooling(t *testing.T) {
-	run := func(pool bool) string {
-		core.SetPacketPoolDefault(pool)
-		defer core.SetPacketPoolDefault(true)
-		r, err := Fig7(0.05)
-		if err != nil {
-			t.Fatalf("pool=%v: %v", pool, err)
-		}
-		return r.String()
-	}
-	pooled, bare := run(true), run(false)
-	if pooled != bare {
-		t.Fatalf("Fig7 output differs between pooled and unpooled packets:\n--- pooled ---\n%s\n--- unpooled ---\n%s", pooled, bare)
 	}
 }

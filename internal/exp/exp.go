@@ -9,21 +9,28 @@
 // software simulation; the experiments preserve relative behavior.
 //
 // Every figure is a matrix of independent core.Run invocations; each
-// function below describes its matrix as a job list and submits it to the
+// method below describes its matrix as a job list and submits it to the
 // internal/par worker pool, so a sweep uses every core the machine has
 // (internal/par.SetParallelism / MEMNET_PAR / cmd/experiments -par select
 // the width). Results are assembled in job order, so the rendered tables
-// are byte-identical at any parallelism.
+// are byte-identical at any parallelism. The figures that simulate are
+// methods on Env, which carries what a caller layers over every run of one
+// experiment (faults, progress, cancellation, artifact directories); the
+// zero Env is a plain run.
 package exp
 
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"memnet/internal/core"
+	"memnet/internal/fault"
 	"memnet/internal/noc"
+	"memnet/internal/obs"
 	"memnet/internal/par"
 	"memnet/internal/sim"
 	"memnet/internal/ske"
@@ -34,12 +41,57 @@ import (
 // us converts picoseconds to microseconds for display.
 func us(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// runAll fans a list of run configurations out across the worker pool and
-// returns the results in job order.
-func runAll(cfgs []core.Config) ([]*core.Result, error) {
+// Env is the per-run environment of one experiment: what a caller layers
+// over every simulation the experiment runs without changing what the
+// figure computes. Each field is off when zero, so the zero Env is a plain
+// run. An Env belongs to one experiment run; concurrent runs with
+// different Envs share nothing.
+type Env struct {
+	// Faults is injected into every simulation (nil: none). An empty
+	// schedule is byte-identical to none.
+	Faults *fault.Schedule
+	// Progress receives every simulation's progress events. It is called
+	// from the worker goroutines, so it must be safe for concurrent use.
+	Progress obs.ProgressFunc
+	// Stop cancels the experiment cooperatively once tripped: running
+	// simulations unwind at the next engine event and the experiment
+	// returns an error wrapping core.ErrStopped.
+	Stop *sim.Stop
+	// TraceDir, MetricsDir and ProfileDir each receive one artifact per
+	// simulation, named "<experiment>-<job index>-<workload>-<arch>" plus
+	// ".trace.json", ".metrics.csv" or ".profile.json". The index is
+	// zero-padded to a common width, so the names sort in job order and do
+	// not depend on scheduling.
+	TraceDir, MetricsDir, ProfileDir string
+	// MetricsEpoch is the metrics sampling window (zero: 1 µs).
+	MetricsEpoch sim.Time
+}
+
+// runAll applies the env to every config, fans them out across the worker
+// pool and returns the results in job order. experiment names the
+// artifacts.
+func (e Env) runAll(experiment string, cfgs []core.Config) ([]*core.Result, error) {
+	width := len(strconv.Itoa(len(cfgs) - 1))
 	return par.Map(context.Background(), 0, len(cfgs),
 		func(_ context.Context, i int) (*core.Result, error) {
-			return core.Run(cfgs[i])
+			cfg := cfgs[i]
+			cfg.Faults, cfg.Progress, cfg.Stop = e.Faults, e.Progress, e.Stop
+			cfg.MetricsEpoch = e.MetricsEpoch
+			base := fmt.Sprintf("%s-%0*d-%s-%s", experiment, width, i, cfg.Workload, cfg.Arch)
+			if e.TraceDir != "" {
+				cfg.TraceOut = filepath.Join(e.TraceDir, base+".trace.json")
+			}
+			if e.MetricsDir != "" {
+				cfg.MetricsOut = filepath.Join(e.MetricsDir, base+".metrics.csv")
+			}
+			if e.ProfileDir != "" {
+				cfg.ProfileOut = filepath.Join(e.ProfileDir, base+".profile.json")
+			}
+			res, err := core.Run(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", cfg.Workload, cfg.Arch, err)
+			}
+			return res, nil
 		})
 }
 
@@ -72,7 +124,7 @@ type Fig7Result struct {
 }
 
 // Fig7 runs the Fig. 7 experiment.
-func Fig7(scale float64) (*Fig7Result, error) {
+func (e Env) Fig7(scale float64) (*Fig7Result, error) {
 	config := func(arch core.Arch, k int, pcieBW float64) core.Config {
 		cfg := core.DefaultConfig(arch, "VA")
 		cfg.Scale = scale
@@ -95,7 +147,7 @@ func Fig7(scale float64) (*Fig7Result, error) {
 	for _, k := range ks {
 		cfgs = append(cfgs, config(core.GMN, k, 0))
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig7", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +196,7 @@ type Fig10Result struct {
 
 // Fig10 measures traffic distributions for KMN (near-uniform) and CG.S
 // (imbalanced) on the 4GPU-16HMC system.
-func Fig10(scale float64) ([]*Fig10Result, error) {
+func (e Env) Fig10(scale float64) ([]*Fig10Result, error) {
 	workloads := []string{"KMN", "CG.S"}
 	var cfgs []core.Config
 	for _, wl := range workloads {
@@ -152,7 +204,7 @@ func Fig10(scale float64) ([]*Fig10Result, error) {
 		cfg.Scale = scale
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig10", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -295,45 +347,41 @@ type Fig14Result struct {
 	Rows []Fig14Row
 }
 
+// Fig14 runs Fig. 14 as a plain run (the zero Env).
+func Fig14(scale float64, workloads []string) (*Fig14Result, error) {
+	return Env{}.Fig14(scale, workloads)
+}
+
 // Fig14 runs every architecture of Table III on the given workloads
 // (default: all of Table II).
-func Fig14(scale float64, workloads []string) (*Fig14Result, error) {
+func (e Env) Fig14(scale float64, workloads []string) (*Fig14Result, error) {
 	if len(workloads) == 0 {
 		workloads = Fig14Workloads()
 	}
 	archs := core.Architectures()
-	type job struct {
-		wl   string
-		arch core.Arch
-	}
-	var jobs []job
+	var cfgs []core.Config
 	for _, wl := range workloads {
 		for _, arch := range archs {
-			jobs = append(jobs, job{wl, arch})
+			cfg := core.DefaultConfig(arch, wl)
+			cfg.Scale = scale
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	cells, err := par.Map(context.Background(), 0, len(jobs),
-		func(_ context.Context, i int) (Fig14Cell, error) {
-			cfg := core.DefaultConfig(jobs[i].arch, jobs[i].wl)
-			cfg.Scale = scale
-			res, err := core.Run(cfg)
-			if err != nil {
-				return Fig14Cell{}, fmt.Errorf("%s/%s: %w", jobs[i].wl, jobs[i].arch, err)
-			}
-			return Fig14Cell{
-				Arch: jobs[i].arch.String(), H2D: res.H2D, Kernel: res.Kernel,
-				Host: res.Host, D2H: res.D2H, Total: res.Total,
-			}, nil
-		})
+	results, err := e.runAll("fig14", cfgs)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig14Result{}
 	for r, wl := range workloads {
-		out.Rows = append(out.Rows, Fig14Row{
-			Workload: wl,
-			Cells:    cells[r*len(archs) : (r+1)*len(archs)],
-		})
+		row := Fig14Row{Workload: wl}
+		for a, arch := range archs {
+			res := results[r*len(archs)+a]
+			row.Cells = append(row.Cells, Fig14Cell{
+				Arch: arch.String(), H2D: res.H2D, Kernel: res.Kernel,
+				Host: res.Host, D2H: res.D2H, Total: res.Total,
+			})
+		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -419,7 +467,7 @@ type Fig15Row struct {
 
 // Fig15 evaluates routing on dDFLY and dFBFLY for representative
 // workloads (KMN and CP show ~no gain; CG.S gains from adaptivity).
-func Fig15(scale float64) ([]Fig15Row, error) {
+func (e Env) Fig15(scale float64) ([]Fig15Row, error) {
 	type pair struct {
 		topo noc.TopoKind
 		wl   string
@@ -439,7 +487,7 @@ func Fig15(scale float64) ([]Fig15Row, error) {
 			}
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig15", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +548,7 @@ func Fig16Topos() []struct {
 
 // Fig16 compares the sliced topologies' kernel performance and network
 // energy (Fig. 16 and Fig. 17 share the same runs).
-func Fig16(scale float64, workloads []string) ([]TopoRow, error) {
+func (e Env) Fig16(scale float64, workloads []string) ([]TopoRow, error) {
 	if len(workloads) == 0 {
 		workloads = Fig14Workloads()
 	}
@@ -522,7 +570,7 @@ func Fig16(scale float64, workloads []string) ([]TopoRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig16", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +632,7 @@ type Fig18Row struct {
 
 // Fig18 compares UMN designs for the host thread on the workloads that use
 // the CPU (CG.S and FT.S), on a 1CPU-3GPU-16HMC system as in the paper.
-func Fig18(scale float64) ([]Fig18Row, error) {
+func (e Env) Fig18(scale float64) ([]Fig18Row, error) {
 	designs := []struct {
 		name    string
 		topo    noc.TopoKind
@@ -611,7 +659,7 @@ func Fig18(scale float64) ([]Fig18Row, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig18", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -647,7 +695,7 @@ type Fig19Row struct {
 // inputs that oversubscribe sixteen 64-SM GPUs is impractical in software,
 // so the study shrinks each GPU to 8 SMs instead — the parallelism ratio
 // (CTAs per SM slot) matches and the scaling shape is preserved.
-func Fig19(scale float64, gpuCounts []int) ([]Fig19Row, float64, error) {
+func (e Env) Fig19(scale float64, gpuCounts []int) ([]Fig19Row, float64, error) {
 	if len(gpuCounts) == 0 {
 		gpuCounts = []int{1, 2, 4, 8, 16}
 	}
@@ -667,7 +715,7 @@ func Fig19(scale float64, gpuCounts []int) ([]Fig19Row, float64, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("fig19", cfgs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -720,7 +768,7 @@ type SchedRow struct {
 
 // CTASched reproduces the Section III-B scheduler comparison: static
 // chunked assignment vs fine-grained round-robin vs static + stealing.
-func CTASched(scale float64, workloads []string) ([]SchedRow, error) {
+func (e Env) CTASched(scale float64, workloads []string) ([]SchedRow, error) {
 	if len(workloads) == 0 {
 		workloads = []string{"SRAD", "BP", "KMN", "3DFD"}
 	}
@@ -739,7 +787,7 @@ func CTASched(scale float64, workloads []string) ([]SchedRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("ctasched", cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -803,8 +851,10 @@ type DegRow struct {
 // seed, so the failure sets are nested) and drives synthetic traffic past
 // saturation. The star carries only cluster-local traffic (remote accesses
 // use PCIe there); the FBFLY networks carry uniform-random traffic and
-// route around the dead links via their path diversity.
-func Degradation(maxFailed int) ([]DegRow, error) {
+// route around the dead links via their path diversity. The load points
+// drive the network directly, so of the env only Stop applies: it is
+// checked before each load point.
+func (e Env) Degradation(maxFailed int) ([]DegRow, error) {
 	if maxFailed <= 0 {
 		maxFailed = 4
 	}
@@ -828,6 +878,9 @@ func Degradation(maxFailed int) ([]DegRow, error) {
 	}
 	points, err := par.Map(context.Background(), 0, len(jobs),
 		func(_ context.Context, i int) (noc.LoadPoint, error) {
+			if e.Stop.Tripped() {
+				return noc.LoadPoint{}, fmt.Errorf("exp: degradation stopped (%s): %w", e.Stop.Reason(), core.ErrStopped)
+			}
 			tp := topos[jobs[i].topo]
 			spec := noc.TopoSpec{Kind: tp.kind, Clusters: 4,
 				LocalPerCluster: 4, TermChannels: 8, CPUCluster: -1}
@@ -873,7 +926,7 @@ type PlacementRow struct {
 // open question of Section III-C by comparing the paper's random page
 // placement against an owner-compute mapping aligned with SKE's static
 // CTA chunks.
-func Placement(scale float64, workloads []string) ([]PlacementRow, error) {
+func (e Env) Placement(scale float64, workloads []string) ([]PlacementRow, error) {
 	if len(workloads) == 0 {
 		workloads = []string{"BP", "SRAD", "VA", "BFS"}
 	}
@@ -896,7 +949,7 @@ func Placement(scale float64, workloads []string) ([]PlacementRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := e.runAll("placement", cfgs)
 	if err != nil {
 		return nil, err
 	}

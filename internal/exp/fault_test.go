@@ -6,7 +6,7 @@ import "testing"
 // nested failure sets (prefix-stable selection under one seed), saturation
 // throughput never increases and latency never decreases as links fail.
 func TestDegradationMonotone(t *testing.T) {
-	rows, err := Degradation(2)
+	rows, err := Env{}.Degradation(2)
 	if err != nil {
 		t.Fatal(err)
 	}

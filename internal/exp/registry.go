@@ -17,6 +17,10 @@ type Params struct {
 	Workloads []string // workload subset (nil = the per-experiment default)
 	GPUs      []int    // GPU counts for the scalability sweep
 	DegLinks  int      // max failed link pairs for the degradation sweep
+
+	// Env is applied to every simulation the experiment runs; Validate
+	// ignores it.
+	Env Env
 }
 
 // DefaultParams mirrors cmd/experiments' flag defaults.
@@ -103,13 +107,13 @@ var registry = []Experiment{
 	{Name: "fig7", Desc: "Fig. 7 — cost of remote memory access (PCIe vs GMN)",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			r, err := Fig7(p.Scale)
+			r, err := p.Env.Fig7(p.Scale)
 			return render(r, err)
 		}},
 	{Name: "fig10", Desc: "Fig. 10 — GPU-to-HMC traffic distribution",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rs, err := Fig10(p.Scale)
+			rs, err := p.Env.Fig10(p.Scale)
 			if err != nil {
 				return "", err
 			}
@@ -130,13 +134,13 @@ var registry = []Experiment{
 	{Name: "fig14", Desc: "Fig. 14 — runtime breakdown across architectures",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			r, err := Fig14(p.Scale, p.Workloads)
+			r, err := p.Env.Fig14(p.Scale, p.Workloads)
 			return render(r, err)
 		}},
 	{Name: "fig15", Desc: "Fig. 15 — minimal vs UGAL routing",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Fig15(p.Scale)
+			rows, err := p.Env.Fig15(p.Scale)
 			if err != nil {
 				return "", err
 			}
@@ -149,7 +153,7 @@ var registry = []Experiment{
 			if len(sel) == 0 {
 				sel = []string{"BP", "KMN", "BFS", "SRAD", "FWT", "CP"}
 			}
-			rows, err := Fig16(p.Scale, sel)
+			rows, err := p.Env.Fig16(p.Scale, sel)
 			if err != nil {
 				return "", err
 			}
@@ -163,7 +167,7 @@ var registry = []Experiment{
 	{Name: "fig18", Desc: "Fig. 18 — UMN designs for the host thread",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Fig18(p.Scale)
+			rows, err := p.Env.Fig18(p.Scale)
 			if err != nil {
 				return "", err
 			}
@@ -172,7 +176,7 @@ var registry = []Experiment{
 	{Name: "fig19", Desc: "Fig. 19 — kernel speedup vs GPU count",
 		UsesScale: true, UsesGPUs: true,
 		Run: func(p Params) (string, error) {
-			rows, gm, err := Fig19(p.Scale, p.GPUs)
+			rows, gm, err := p.Env.Fig19(p.Scale, p.GPUs)
 			if err != nil {
 				return "", err
 			}
@@ -181,7 +185,7 @@ var registry = []Experiment{
 	{Name: "placement", Desc: "Extension — page placement: random vs owner-compute",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Placement(p.Scale, p.Workloads)
+			rows, err := p.Env.Placement(p.Scale, p.Workloads)
 			if err != nil {
 				return "", err
 			}
@@ -190,7 +194,7 @@ var registry = []Experiment{
 	{Name: "ctasched", Desc: "Section III-B — CTA assignment policies",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			rows, err := CTASched(p.Scale, p.Workloads)
+			rows, err := p.Env.CTASched(p.Scale, p.Workloads)
 			if err != nil {
 				return "", err
 			}
@@ -199,7 +203,7 @@ var registry = []Experiment{
 	{Name: "degradation", Desc: "Extension — throughput degradation vs failed links",
 		UsesDegLinks: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Degradation(p.DegLinks)
+			rows, err := p.Env.Degradation(p.DegLinks)
 			if err != nil {
 				return "", err
 			}

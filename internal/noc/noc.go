@@ -49,7 +49,7 @@ type Config struct {
 	// NewRequest / NewResponse heap-allocates. Pooling is on by default
 	// and byte-identical to running without it (the free list is
 	// deterministic and packets are fully reset); the switch exists so
-	// the CI cmp job can prove that equality.
+	// tests can prove that equality.
 	NoPacketPool bool
 }
 

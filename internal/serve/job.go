@@ -56,7 +56,8 @@ type JobSpec struct {
 
 // Canonicalize validates the spec in place and reduces it to canonical
 // form: names trimmed, aliases resolved (fig17 → fig16), defaults filled,
-// and parameters the experiment does not read zeroed.
+// parameters the experiment does not read zeroed, fault events sorted by
+// time and an empty fault schedule dropped.
 func (s *JobSpec) Canonicalize() error {
 	s.Experiment = strings.TrimSpace(s.Experiment)
 	if s.Experiment == "" {
@@ -107,7 +108,11 @@ func (s *JobSpec) Canonicalize() error {
 		s.DegLinks = 0
 	}
 
-	if s.Faults != nil {
+	if s.Faults.Empty() {
+		// An empty schedule is byte-identical to no schedule whatever its
+		// seed; collapse it so both forms share one cache entry.
+		s.Faults = nil
+	} else {
 		if len(s.Faults.Events) > maxFaultEvents {
 			return fmt.Errorf("serve: fault schedule has %d events (max %d)", len(s.Faults.Events), maxFaultEvents)
 		}
@@ -121,11 +126,9 @@ func (s *JobSpec) Canonicalize() error {
 				return fmt.Errorf("serve: fault event %d: unknown kind %q", i, ev.Kind)
 			}
 		}
-		if s.Faults.Empty() && s.Faults.Seed == 0 {
-			// An empty schedule is byte-identical to no schedule; collapse
-			// it so both forms share one cache entry.
-			s.Faults = nil
-		}
+		// Auto link picks are seeded by event index, so order matters:
+		// sort exactly as fault.Load does for the CLI's -faults file.
+		s.Faults.Sort()
 	}
 	return nil
 }
@@ -183,9 +186,8 @@ type job struct {
 	queuedAt time.Time
 	prog     *telemetry.Progress
 
-	// stop is the job's cooperative cancel latch. execute installs it as
-	// the process-wide default for the duration of the run (jobs run one
-	// at a time); DELETE /v1/jobs/{id} and deadline expiry trip it, and
+	// stop is the job's cooperative cancel latch, handed to the run in
+	// its exp.Env; DELETE /v1/jobs/{id} and deadline expiry trip it, and
 	// the sweep unwinds at the next engine-event boundary.
 	stop *sim.Stop
 	// recovered marks a job revived or re-queued by journal replay after

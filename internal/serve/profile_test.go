@@ -6,20 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"memnet/internal/core"
+	"memnet/internal/exp"
 	"memnet/internal/prof"
 	"memnet/internal/serve"
 )
 
-// profileRunner runs two real (tiny) simulations, so a profiling server
-// collects one profile per run through the process-wide default.
-func profileRunner(sp *serve.JobSpec) (string, error) {
-	for _, arch := range []core.Arch{core.PCIe, core.UMN} {
-		cfg := core.DefaultConfig(arch, "VA")
-		cfg.Scale = 0.05
-		if _, err := core.Run(cfg); err != nil {
-			return "", err
-		}
+// profileRunner runs an experiment of two real (tiny) simulations under
+// the job's Env, so a profiling server collects one profile per run.
+func profileRunner(sp *serve.JobSpec, env exp.Env) (string, error) {
+	if _, err := env.Placement(0.05, []string{"VA"}); err != nil {
+		return "", err
 	}
 	return "ran\n", nil
 }

@@ -65,7 +65,6 @@ import (
 	"sync"
 	"time"
 
-	"memnet/internal/core"
 	"memnet/internal/exp"
 	"memnet/internal/obs"
 	"memnet/internal/serve/cachedir"
@@ -100,19 +99,23 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("serve: overloaded: estimated queue delay %s exceeds the admission bound", e.Estimate.Round(time.Second))
 }
 
-// Runner executes one canonicalized job and returns its rendered result.
-// The default runs the experiment registry; tests inject stubs.
-type Runner func(spec *JobSpec) (string, error)
+// Runner executes one canonicalized job under the job's environment (its
+// fault schedule, progress sink, stop latch and profile directory) and
+// returns its rendered result. The default runs the experiment registry;
+// tests inject stubs.
+type Runner func(spec *JobSpec, env exp.Env) (string, error)
 
 // RegistryRunner renders spec's experiment exactly as cmd/experiments
 // prints it (including the trailing newline fmt.Println appends), so a
 // served result byte-compares against the CLI's stdout.
-func RegistryRunner(spec *JobSpec) (string, error) {
+func RegistryRunner(spec *JobSpec, env exp.Env) (string, error) {
 	e, ok := exp.Find(spec.Experiment)
 	if !ok {
 		return "", fmt.Errorf("serve: unknown experiment %q", spec.Experiment)
 	}
-	out, err := e.Run(spec.Params())
+	p := spec.Params()
+	p.Env = env
+	out, err := e.Run(p)
 	if err != nil {
 		return "", err
 	}
@@ -646,10 +649,8 @@ func (s *Server) removeQueuedLocked(target *job) bool {
 }
 
 // dispatch is the single executor loop: it picks one queued job at a time
-// (round-robin over clients, FIFO within a client) and runs it. One job
-// at a time is deliberate — each job already fans its runs across the
-// whole internal/par pool, and serial execution is what lets the per-job
-// process-wide fault/progress defaults compose safely.
+// (round-robin over clients, FIFO within a client) and runs it. Each job
+// already fans its runs across the whole internal/par pool.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	for {
@@ -716,15 +717,14 @@ func (s *Server) deadlineFor(spec *JobSpec) time.Duration {
 	return d
 }
 
-// execute runs one job through the Runner with the job's progress sink,
-// stop latch and fault schedule installed as the process-wide defaults
-// (safe because jobs run strictly one at a time), then publishes the
-// terminal state.
+// execute runs one job through the Runner under the job's environment —
+// its fault schedule, progress sink, stop latch and (with Config.Profile)
+// a temporary profile directory — then publishes the terminal state.
 func (s *Server) execute(j *job) {
-	core.SetProgressDefault(func(ev obs.ProgressEvent) { s.publishProgress(j, ev) })
-	core.SetStopDefault(j.stop)
-	if j.spec.Faults != nil {
-		core.SetFaultDefault(j.spec.Faults)
+	env := exp.Env{
+		Faults:   j.spec.Faults,
+		Progress: func(ev obs.ProgressEvent) { s.publishProgress(j, ev) },
+		Stop:     j.stop,
 	}
 	var deadlineTimer *time.Timer
 	if d := s.deadlineFor(j.spec); d > 0 {
@@ -732,31 +732,24 @@ func (s *Server) execute(j *job) {
 			j.stop.Trip(fmt.Sprintf("deadline exceeded after %s", d))
 		})
 	}
-	var profDir string
 	if s.cfg.Profile {
 		dir, err := os.MkdirTemp("", "memnetd-prof-")
 		if err != nil {
 			// Degrade to an unprofiled run; the result is identical anyway.
 			s.lg.Error("profile dir creation failed", "job", j.key, "err", err)
-		} else {
-			profDir = dir
-			core.SetProfDefault(dir)
 		}
+		env.ProfileDir = dir
 	}
 	start := time.Now()
-	out, err := s.cfg.Runner(j.spec)
+	out, err := s.cfg.Runner(j.spec, env)
 	elapsed := time.Since(start)
 	if deadlineTimer != nil {
 		deadlineTimer.Stop()
 	}
-	core.SetFaultDefault(nil)
-	core.SetStopDefault(nil)
-	core.SetProgressDefault(nil)
 	var profiles []json.RawMessage
-	if profDir != "" {
-		core.SetProfDefault("")
-		profiles = s.collectProfiles(j, profDir)
-		os.RemoveAll(profDir)
+	if env.ProfileDir != "" {
+		profiles = s.collectProfiles(j, env.ProfileDir)
+		os.RemoveAll(env.ProfileDir)
 	}
 	s.met.runSeconds.Observe(elapsed.Seconds())
 
@@ -809,8 +802,8 @@ func (s *Server) execute(j *job) {
 }
 
 // collectProfiles reads the per-run profile files a job's sweep wrote
-// into its temporary directory. Glob order sorts by the sequence prefix,
-// so profiles come back in run-start order.
+// into its temporary directory. The names share the experiment prefix and
+// carry a zero-padded job index, so glob order is job order.
 func (s *Server) collectProfiles(j *job, dir string) []json.RawMessage {
 	files, err := filepath.Glob(filepath.Join(dir, "*.profile.json"))
 	if err != nil {

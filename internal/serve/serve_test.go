@@ -34,7 +34,7 @@ func ctxT(t *testing.T) context.Context {
 // and blocks each job until a token arrives on gate (nil gate = no block).
 func countingRunner(gate chan struct{}, started chan<- string) (Runner, *runLog) {
 	lg := &runLog{}
-	return func(spec *serve.JobSpec) (string, error) {
+	return func(spec *serve.JobSpec, _ exp.Env) (string, error) {
 		tag := fmt.Sprintf("%s/%v", spec.Experiment, spec.Scale)
 		if started != nil {
 			started <- tag
@@ -421,6 +421,51 @@ func TestDiskCache(t *testing.T) {
 	}
 }
 
+// TestFaultScheduleCanonical: an auto link-down picks its channel from a
+// seed offset by its event index, so event order changes results. A
+// schedule submitted out of time order must hash and render exactly as the
+// same schedule loaded the CLI's way (fault.Load sorts by time), and an
+// event-less schedule is no schedule whatever its seed.
+func TestFaultScheduleCanonical(t *testing.T) {
+	const events = `{"seed":3,"events":[` +
+		`{"at_ps":90000000,"kind":"link-down","channel":-1},` +
+		`{"at_ps":1000000,"kind":"link-down","channel":-1}]}`
+	var permuted serve.JobSpec
+	body := `{"experiment":"placement","scale":0.05,"workloads":["KMN"],"faults":` + events + `}`
+	if err := json.Unmarshal([]byte(body), &permuted); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fault.Load(strings.NewReader(events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, permutedKey := canon(t, &permuted)
+	_, loadedKey := canon(t, &serve.JobSpec{Experiment: "placement", Scale: 0.05,
+		Workloads: []string{"KMN"}, Faults: loaded})
+	if permutedKey != loadedKey {
+		t.Fatal("a permuted fault schedule hashed differently from the fault.Load order")
+	}
+
+	s := newServer(t, serve.Config{})
+	defer s.Shutdown(ctxT(t))
+	served := submitWait(t, s, &permuted)
+	e, _ := exp.Find("placement")
+	cli, err := e.Run(exp.Params{Scale: 0.05, Workloads: []string{"KMN"}, Env: exp.Env{Faults: loaded}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != cli+"\n" {
+		t.Fatalf("served faulted run diverges from the CLI path:\n%s\nvs\n%s", served, cli)
+	}
+
+	// {"faults":{"seed":7}} decodes to a seeded schedule with no events.
+	_, seededKey := canon(t, &serve.JobSpec{Experiment: "fig7", Faults: &fault.Schedule{Seed: 7}})
+	_, plainKey := canon(t, &serve.JobSpec{Experiment: "fig7"})
+	if seededKey != plainKey {
+		t.Fatal("an event-less seeded schedule changed the cache key")
+	}
+}
+
 // TestRegistryRunner pins the wire format against the CLI: a served
 // table2 equals exp.TableII() plus the newline fmt.Println appends in
 // cmd/experiments.
@@ -433,13 +478,14 @@ func TestRegistryRunner(t *testing.T) {
 	}
 }
 
-// TestProgressStream runs one real (tiny) simulation through the default
-// progress plumbing and checks the events endpoint replays the full
+// TestProgressStream runs one real (tiny) simulation with the progress
+// sink of the job's Env and checks the events endpoint replays the full
 // lifecycle as JSON lines.
 func TestProgressStream(t *testing.T) {
-	runner := func(sp *serve.JobSpec) (string, error) {
+	runner := func(sp *serve.JobSpec, env exp.Env) (string, error) {
 		cfg := core.DefaultConfig(core.PCIe, "VA")
 		cfg.Scale = 0.05
+		cfg.Progress = env.Progress
 		if _, err := core.Run(cfg); err != nil {
 			return "", err
 		}
@@ -455,7 +501,9 @@ func TestProgressStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub struct{ ID string `json:"id"` }
+	var sub struct {
+		ID string `json:"id"`
+	}
 	if err := decodeJSON(resp, &sub); err != nil {
 		t.Fatal(err)
 	}

@@ -115,22 +115,22 @@ func Workloads() []string { return workload.Names() }
 // Experiment re-exports: each regenerates one figure/table of the paper.
 var (
 	// Fig7 runs the remote-memory-access microbenchmark (Fig. 7).
-	Fig7 = exp.Fig7
+	Fig7 = exp.Env{}.Fig7
 	// Fig10 measures GPU-to-HMC traffic distributions (Fig. 10).
-	Fig10 = exp.Fig10
+	Fig10 = exp.Env{}.Fig10
 	// Fig12 counts dFBFLY vs sFBFLY channels (Fig. 12).
 	Fig12 = exp.Fig12
 	// Fig14 runs the full architecture comparison (Fig. 14).
 	Fig14 = exp.Fig14
 	// Fig15 compares minimal vs UGAL routing (Fig. 15).
-	Fig15 = exp.Fig15
+	Fig15 = exp.Env{}.Fig15
 	// Fig16 compares sliced topologies' performance and energy
 	// (Fig. 16 and Fig. 17 share these runs).
-	Fig16 = exp.Fig16
+	Fig16 = exp.Env{}.Fig16
 	// Fig18 compares UMN designs for host-thread latency (Fig. 18).
-	Fig18 = exp.Fig18
+	Fig18 = exp.Env{}.Fig18
 	// Fig19 measures multi-GPU scalability (Fig. 19).
-	Fig19 = exp.Fig19
+	Fig19 = exp.Env{}.Fig19
 	// CTASched compares CTA assignment policies (Section III-B).
-	CTASched = exp.CTASched
+	CTASched = exp.Env{}.CTASched
 )
