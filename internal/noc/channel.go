@@ -93,23 +93,30 @@ func (c *Channel) RetryExhausted() int64 { return c.retryExhausted }
 
 func (c *Channel) canSend(cycle int64) bool { return c.lastSendCycle < cycle }
 
-func (c *Channel) send(cycle int64, f flit, vc int) {
-	c.lastSendCycle = cycle
+// idle reports whether the channel holds no flit, credit or held express
+// flit, so it can leave the network's busy set.
+func (c *Channel) idle() bool { return c.fifo.Empty() && c.credits.Empty() && c.holdQ.Empty() }
+
+func (c *Channel) send(n *Network, f flit, vc int) {
+	c.lastSendCycle = n.cycle
 	c.busyCycles++
-	c.fifo.Push(channelItem{f: f, vc: vc, arrive: cycle + c.latency})
+	c.fifo.Push(channelItem{f: f, vc: vc, arrive: n.cycle + c.latency})
+	n.busyChannels.add(c.index)
 }
 
 // sendPass sends a flit with pass-through latency (bypassing SerDes).
-func (c *Channel) sendPass(cycle int64, f flit, vc int, passLat int64) {
-	c.lastSendCycle = cycle
+func (c *Channel) sendPass(n *Network, f flit, vc int) {
+	c.lastSendCycle = n.cycle
 	c.busyCycles++
 	f.passChain = true
-	c.fifo.Push(channelItem{f: f, vc: vc, arrive: cycle + passLat})
+	c.fifo.Push(channelItem{f: f, vc: vc, arrive: n.cycle + int64(n.cfg.PassThrough+n.cfg.WireCycles)})
+	n.busyChannels.add(c.index)
 }
 
 func (c *Channel) returnCredit(n *Network, cycle int64, vc int) {
 	n.creditsInFlight++
 	c.credits.Push(creditItem{vc: vc, arrive: cycle + c.latency})
+	n.busyChannels.add(c.index)
 }
 
 // deliver moves arrived flits into the downstream buffer (or terminal) and
@@ -120,7 +127,7 @@ func (c *Channel) deliver(n *Network) {
 	// channel and must stay in packet order.
 	for !c.holdQ.Empty() && c.canSend(n.cycle) {
 		it := c.holdQ.Pop()
-		c.sendPass(n.cycle, it.f, it.vc, int64(n.cfg.PassThrough+n.cfg.WireCycles))
+		c.sendPass(n, it.f, it.vc)
 	}
 	for !c.credits.Empty() && c.credits.Front().arrive <= n.cycle {
 		cr := c.credits.Pop()
@@ -227,10 +234,11 @@ func (c *Channel) tryExpress(n *Network, it channelItem) bool {
 	// would overtake earlier held flits and reorder the packet stream.
 	vc := n.reservedVC(pkt.Class)
 	if next.holdQ.Empty() && next.canSend(n.cycle) {
-		next.sendPass(n.cycle, f, vc, int64(n.cfg.PassThrough+n.cfg.WireCycles))
+		next.sendPass(n, f, vc)
 	} else {
 		f.passChain = true
 		next.holdQ.Push(channelItem{f: f, vc: vc})
+		n.busyChannels.add(next.index)
 	}
 	return true
 }

@@ -27,10 +27,11 @@ func (n *Network) AttachProf(np *prof.NetProf) {
 // current cycle to a stall cause for every buffered VC whose front flit
 // is ready but did not move. Head-flit causes also feed the per-packet
 // records; all ready-front causes feed the heat cells. The pass only
-// reads router state.
+// reads router state, and only busy routers buffer anything.
 func (n *Network) classifyCycle() {
 	np := n.prof
-	for ri, r := range n.routers {
+	for ri := n.busyRouters.next(0); ri >= 0; ri = n.busyRouters.next(ri + 1) {
+		r := n.routers[ri]
 		rh := &np.Routers[ri]
 		for pi, p := range r.ports {
 			if p.occupied == 0 {

@@ -45,6 +45,10 @@ type outPort struct {
 	credits []int
 	vcBusy  []bool
 	rr      int
+
+	// claims counts input VCs allocated to this port (active, outPort
+	// here); switch allocation skips a port nobody has claimed.
+	claims int
 }
 
 // Router models the HMC logic-layer switch: a virtual-channel router with a
@@ -66,6 +70,12 @@ type Router struct {
 	ports []*inPort
 
 	used []bool // per (input port + NI) single-read-per-cycle gate
+
+	// occupiedPorts counts input ports (NI included) with occupied > 0;
+	// the router is in the network's busy set exactly while it is
+	// non-zero. ejectClaims counts input VCs allocated to ejection.
+	occupiedPorts int
+	ejectClaims   int
 
 	niSerial int64 // next free NI injection cycle (1 flit/cycle)
 
@@ -132,7 +142,7 @@ func (r *Router) receive(n *Network, port int, it channelItem) {
 	p := r.in[port]
 	vc := &p.vcs[it.vc]
 	if vc.q.Empty() {
-		p.occupied++
+		r.fill(p)
 		// Credit flow control bounds a channel-facing input VC at the
 		// configured buffer depth; sizing the ring to that bound on first
 		// use (a no-op afterwards) removes the last allocation from the
@@ -151,7 +161,7 @@ func (r *Router) enqueueLocal(pkt *Packet) {
 		start = r.niSerial
 	}
 	if r.ni.vcs[vc].q.Empty() {
-		r.ni.occupied++
+		r.fill(r.ni)
 	}
 	for i := 0; i < pkt.Size; i++ {
 		f := flit{pkt: pkt, idx: i, readyCycle: start + int64(i)}
@@ -159,6 +169,24 @@ func (r *Router) enqueueLocal(pkt *Packet) {
 	}
 	r.net.flitsInjected += int64(pkt.Size)
 	r.niSerial = start + int64(pkt.Size)
+}
+
+// fill records that one of p's VCs went from empty to non-empty.
+func (r *Router) fill(p *inPort) {
+	if p.occupied++; p.occupied == 1 {
+		if r.occupiedPorts++; r.occupiedPorts == 1 {
+			r.net.busyRouters.add(r.id)
+		}
+	}
+}
+
+// drain records that one of p's VCs emptied.
+func (r *Router) drain(p *inPort) {
+	if p.occupied--; p.occupied == 0 {
+		if r.occupiedPorts--; r.occupiedPorts == 0 {
+			r.net.busyRouters.remove(r.id)
+		}
+	}
 }
 
 // allPorts returns the input ports with the NI port last.
@@ -178,10 +206,10 @@ func (r *Router) switchTraversal(n *Network) {
 	}
 	ports := r.allPorts()
 
-	// Ejection.
+	// Ejection, until the budget or the VCs allocated to ejection run out.
 	budget := n.cfg.EjectPerCycle
 	for pi, p := range ports {
-		if budget == 0 {
+		if budget == 0 || r.ejectClaims == 0 {
 			break
 		}
 		if used[pi] || p.occupied == 0 {
@@ -198,7 +226,7 @@ func (r *Router) switchTraversal(n *Network) {
 			}
 			vc.q.Pop()
 			if vc.q.Empty() {
-				p.occupied--
+				r.drain(p)
 			}
 			if bf.f.pkt.prof != nil && bf.f.head() {
 				n.prof.CloseRouter(bf.f.pkt.prof, int64(n.eng.Now()))
@@ -211,6 +239,7 @@ func (r *Router) switchTraversal(n *Network) {
 			}
 			if bf.f.tail() {
 				vc.active = false
+				r.ejectClaims--
 				n.deliverToSink(r.id, bf.f.pkt)
 			}
 			break // one flit per input port per cycle
@@ -224,11 +253,13 @@ func (r *Router) switchTraversal(n *Network) {
 	//
 	// loop but walks the pair incrementally (no div/mod per step) and skips
 	// a port's remaining VCs wholesale once the port is used this cycle or
-	// holds no buffered flits — the grant sequence is bit-identical.
+	// holds no buffered flits — the grant sequence is bit-identical. An
+	// output port no input VC has claimed cannot grant, and rr moves only
+	// on a grant, so skipping it is exact too.
 	nVCs := n.totalVCs()
 	total := nPorts * nVCs
 	for oi, op := range r.out {
-		if !op.ch.canSend(n.cycle) {
+		if op.claims == 0 || !op.ch.canSend(n.cycle) {
 			continue
 		}
 		rr := op.rr % total
@@ -268,7 +299,7 @@ func (r *Router) switchTraversal(n *Network) {
 			}
 			vc.q.Pop()
 			if vc.q.Empty() {
-				p.occupied--
+				r.drain(p)
 			}
 			used[pi] = true
 			if !bf.elastic && p.ch != nil {
@@ -283,10 +314,11 @@ func (r *Router) switchTraversal(n *Network) {
 			op.credits[vc.outVC]--
 			f := bf.f
 			f.passChain = false
-			op.ch.send(n.cycle, f, vc.outVC)
+			op.ch.send(n, f, vc.outVC)
 			if bf.f.tail() {
 				vc.active = false
 				op.vcBusy[vc.outVC] = false
+				op.claims--
 			}
 			op.rr = pi*nVCs + vi + 1
 			if op.rr == total {
@@ -321,6 +353,7 @@ func (r *Router) allocate(n *Network) {
 			if out == ejectPort {
 				vc.active = true
 				vc.outPort = ejectPort
+				r.ejectClaims++
 				continue
 			}
 			level := pkt.Hops + 1
@@ -333,6 +366,7 @@ func (r *Router) allocate(n *Network) {
 				continue // output VC held by another packet; retry next cycle
 			}
 			op.vcBusy[outVC] = true
+			op.claims++
 			vc.active = true
 			vc.outPort = out
 			vc.outVC = outVC

@@ -87,6 +87,18 @@ func (t *Terminal) enqueue(pkt *Packet) {
 	}
 	best := t.bestPort(pkt, target)
 	t.ports[best].q.Push(pkt)
+	t.net.busyTerminals.add(t.id)
+}
+
+// pending reports whether any attachment still has a packet to send, so
+// the terminal stays in the network's busy set.
+func (t *Terminal) pending() bool {
+	for _, p := range t.ports {
+		if p.cur != nil || !p.q.Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 // bestPort returns the attachment index with minimal distance to the
@@ -175,7 +187,7 @@ func (t *Terminal) inject(n *Network) {
 		}
 		f := flit{pkt: p.cur, idx: p.curFlit}
 		p.credits[vc]--
-		p.toRouter.send(n.cycle, f, vc)
+		p.toRouter.send(n, f, vc)
 		if rec := p.cur.prof; rec != nil && p.curFlit == 0 {
 			n.prof.CloseInject(rec, int64(n.eng.Now()))
 		}
