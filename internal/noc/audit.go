@@ -25,6 +25,12 @@ import (
 //     holds it.
 //   - Quiescence: once no packet is undelivered, no flit may remain resident
 //     anywhere and no terminal may still hold queued flits.
+//   - Busy sets: the routers, channels and terminals step visits are
+//     exactly those holding work (a buffered flit; a non-empty FIFO, credit
+//     queue or hold queue; a packet to send), and the per-port and
+//     per-router occupancy counts behind the router set are exact.
+//   - Claims: each output port's claim count, and the router's eject
+//     count, equal the active input VCs allocated to it.
 func (n *Network) RegisterAudits(reg *audit.Registry) {
 	reg.Register("noc", func(report func(string)) {
 		n.auditFlitConservation(report)
@@ -32,6 +38,8 @@ func (n *Network) RegisterAudits(reg *audit.Registry) {
 		n.auditCredits(report)
 		n.auditVCLegality(report)
 		n.auditVCAllocation(report)
+		n.auditBusySets(report)
+		n.auditClaims(report)
 	})
 }
 
@@ -243,6 +251,73 @@ func (n *Network) auditVCAllocation(report func(string)) {
 					report(fmt.Sprintf("router %d port %d vc %d free but held by %d input VCs",
 						r.id, oi, v, holders))
 				}
+			}
+		}
+	}
+}
+
+func (n *Network) auditBusySets(report func(string)) {
+	for _, r := range n.routers {
+		ports := 0
+		for pi, p := range r.allPorts() {
+			vcs := 0
+			for vi := range p.vcs {
+				if !p.vcs[vi].q.Empty() {
+					vcs++
+				}
+			}
+			if vcs != p.occupied {
+				report(fmt.Sprintf("router %d input %d: %d non-empty VCs, occupied count %d",
+					r.id, pi, vcs, p.occupied))
+			}
+			if vcs > 0 {
+				ports++
+			}
+		}
+		if ports != r.occupiedPorts {
+			report(fmt.Sprintf("router %d: %d occupied ports, count says %d", r.id, ports, r.occupiedPorts))
+		}
+		if busy := n.busyRouters.has(r.id); busy != (ports > 0) {
+			report(fmt.Sprintf("router %d: busy bit %v with %d occupied ports", r.id, busy, ports))
+		}
+	}
+	for _, c := range n.channels {
+		if busy := n.busyChannels.has(c.index); busy == c.idle() {
+			report(fmt.Sprintf("channel %d: busy bit %v with fifo=%d credits=%d hold=%d",
+				c.index, busy, c.fifo.Len(), c.credits.Len(), c.holdQ.Len()))
+		}
+	}
+	for _, t := range n.terminals {
+		if busy := n.busyTerminals.has(t.id); busy != t.pending() {
+			report(fmt.Sprintf("terminal %d: busy bit %v with %d queued flits", t.id, busy, t.QueuedFlits()))
+		}
+	}
+}
+
+func (n *Network) auditClaims(report func(string)) {
+	for _, r := range n.routers {
+		eject := 0
+		claims := make([]int, len(r.out))
+		for _, p := range r.allPorts() {
+			for vi := range p.vcs {
+				vc := &p.vcs[vi]
+				switch {
+				case !vc.active:
+				case vc.outPort == ejectPort:
+					eject++
+				default:
+					claims[vc.outPort]++
+				}
+			}
+		}
+		if eject != r.ejectClaims {
+			report(fmt.Sprintf("router %d: %d input VCs allocated to ejection, eject count %d",
+				r.id, eject, r.ejectClaims))
+		}
+		for oi, op := range r.out {
+			if claims[oi] != op.claims {
+				report(fmt.Sprintf("router %d port %d: %d input VCs allocated, claim count %d",
+					r.id, oi, claims[oi], op.claims))
 			}
 		}
 	}

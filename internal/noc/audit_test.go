@@ -110,7 +110,103 @@ func TestNetworkAuditDetectsTampering(t *testing.T) {
 	}
 	r.in[0].vcs[rv].q.Pop()
 	reg.Reset()
+
+	// Stale busy bits on idle components, and claim counts that no
+	// allocated input VC backs.
+	stale := []struct {
+		what         string
+		tamper, undo func()
+	}{
+		{"stale router bit", func() { b.Net.busyRouters.add(r.id) }, func() { b.Net.busyRouters.remove(r.id) }},
+		{"stale channel bit", func() { b.Net.busyChannels.add(0) }, func() { b.Net.busyChannels.remove(0) }},
+		{"stale terminal bit", func() { b.Net.busyTerminals.add(0) }, func() { b.Net.busyTerminals.remove(0) }},
+		{"skewed claim count", func() { r.out[0].claims++ }, func() { r.out[0].claims-- }},
+		{"skewed eject count", func() { r.ejectClaims++ }, func() { r.ejectClaims-- }},
+	}
+	for _, c := range stale {
+		c.tamper()
+		if reg.Check() == 0 {
+			t.Errorf("%s not detected", c.what)
+		}
+		c.undo()
+		reg.Reset()
+	}
 	if reg.Check() != 0 {
 		t.Fatalf("restored network still dirty: %v", reg.Violations())
+	}
+}
+
+// TestNetworkAuditDetectsClearedBusyBits clears the busy bit of a router,
+// a channel and a terminal that hold work mid-run, and skews a claim count
+// that live allocations back: step would skip such a component or port
+// and stall its work, so the audit must report each.
+func TestNetworkAuditDetectsClearedBusyBits(t *testing.T) {
+	eng := sim.NewEngine()
+	b, err := BuildTopology(eng, DefaultConfig(), spec4x4(TopoSFBFLY))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEcho(b, 9)
+	n := b.Net
+	reg := audit.New(func() int64 { return int64(eng.Now()) })
+	n.RegisterAudits(reg)
+	// Every terminal queues far more flits than it can inject by the check
+	// instant, which falls between network cycles.
+	eng.At(sim.Nanosecond, func() {
+		for src := range b.Terms {
+			for i := 0; i < 100; i++ {
+				n.Send(NewRequest(0, b.Terms[src], (7*src+i)%n.NumRouters(), 9))
+			}
+		}
+	})
+	checked := false
+	eng.At(50*sim.Nanosecond+1, func() {
+		checked = true
+		if reg.Check() != 0 {
+			t.Fatalf("untampered network reported: %v", reg.Violations())
+		}
+		ri, ci, ti := n.busyRouters.next(0), n.busyChannels.next(0), n.busyTerminals.next(0)
+		if ri < 0 || ci < 0 || ti < 0 {
+			t.Fatalf("busy sets empty mid-run: router %d channel %d terminal %d", ri, ci, ti)
+		}
+		var claimed *outPort
+		for _, r := range n.routers {
+			for _, op := range r.out {
+				if op.claims > 0 && claimed == nil {
+					claimed = op
+				}
+			}
+		}
+		if claimed == nil {
+			t.Fatal("no output port claimed mid-run")
+		}
+		saved := claimed.claims
+		cases := []struct {
+			what         string
+			tamper, undo func()
+		}{
+			{"cleared router bit", func() { n.busyRouters.remove(ri) }, func() { n.busyRouters.add(ri) }},
+			{"cleared channel bit", func() { n.busyChannels.remove(ci) }, func() { n.busyChannels.add(ci) }},
+			{"cleared terminal bit", func() { n.busyTerminals.remove(ti) }, func() { n.busyTerminals.add(ti) }},
+			{"claim count dropped to zero", func() { claimed.claims = 0 }, func() { claimed.claims = saved }},
+		}
+		for _, c := range cases {
+			c.tamper()
+			if reg.Check() == 0 {
+				t.Errorf("%s not detected", c.what)
+			}
+			c.undo()
+			reg.Reset()
+			if reg.Check() != 0 {
+				t.Fatalf("undoing %s left violations: %v", c.what, reg.Violations())
+			}
+		}
+	})
+	eng.Run()
+	if !checked {
+		t.Fatal("check instant never reached")
+	}
+	if k := reg.Check(); k != 0 {
+		t.Fatalf("%d violations after drain: %v", k, reg.Violations())
 	}
 }
