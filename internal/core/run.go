@@ -348,6 +348,15 @@ func (s *System) memcpy(h2d bool, done func()) {
 	}
 	shootdown := sim.Time(dirtyPages) * 20 * sim.Nanosecond
 
+	// Walk clusters in ascending order, never in map order: the PCIe
+	// transfers' trace spans and the CMN float sum below must not depend
+	// on map iteration.
+	clusters := make([]int, 0, len(byCluster))
+	for c := range byCluster {
+		clusters = append(clusters, c)
+	}
+	sort.Ints(clusters)
+
 	if s.cfg.Arch.hasPCIe() {
 		remaining := len(byCluster)
 		cpuEP := s.ep[s.cfg.cpuCluster()]
@@ -357,14 +366,8 @@ func (s *System) memcpy(h2d bool, done func()) {
 				s.eng.After(shootdown, done)
 			}
 		}
-		// Issue in cluster order: the phase time is order-independent (all
-		// transfers serialize on the CPU link), but the per-transfer spans
-		// in the trace must be deterministic.
-		clusters := make([]int, 0, len(byCluster))
-		for c := range byCluster {
-			clusters = append(clusters, c)
-		}
-		sort.Ints(clusters)
+		// The phase time is order-independent (all transfers serialize on
+		// the CPU link); only the per-transfer spans follow the order.
 		for _, c := range clusters {
 			if h2d {
 				s.fabric.Send(cpuEP, s.ep[c], byCluster[c], finish)
@@ -380,8 +383,8 @@ func (s *System) memcpy(h2d bool, done func()) {
 	chanBW := float64(s.cfg.Net.FlitBytes) * s.cfg.Net.ClockMHz * 1e6 // bytes/s per channel
 	perGPU := float64(cmnChansPerGPU) * chanBW
 	var total float64
-	for _, bytes := range byCluster {
-		total += float64(bytes) / perGPU
+	for _, c := range clusters {
+		total += float64(byCluster[c]) / perGPU
 	}
 	dur := sim.Time(total*1e12) + 2*sim.Microsecond + shootdown
 	s.eng.After(dur, done)
