@@ -13,6 +13,7 @@ func BenchmarkEngineEvents(b *testing.B)    { EngineEvents(b) }
 func BenchmarkTypedEvents(b *testing.B)     { TypedEvents(b) }
 func BenchmarkFlitHop(b *testing.B)         { FlitHop(b) }
 func BenchmarkSaturatedNoC(b *testing.B)    { SaturatedNoC(b) }
+func BenchmarkLowLoadNoC(b *testing.B)      { LowLoadNoC(b) }
 func BenchmarkFig07(b *testing.B)           { Fig07(b) }
 func BenchmarkFig12(b *testing.B)           { Fig12(b) }
 func BenchmarkFig16(b *testing.B)           { Fig16(b) }
