@@ -50,6 +50,9 @@ type warpState struct {
 	sm    *sm
 	cta   *ctaState
 	trace WarpTrace
+	// op is the memory instruction being issued. step sets it; it stays
+	// put while issueMem waits for the SM's MSHRs to free.
+	op WarpOp
 }
 
 func (s *sm) startCTA(ctx *launchCtx, id int) {
@@ -74,6 +77,10 @@ func (s *sm) startCTA(ctx *launchCtx, id int) {
 // warpStep dispatches a warp's next step on the closure-free event path;
 // the method value w.step would allocate on every reschedule.
 func warpStep(a any) { a.(*warpState).step() }
+
+// warpIssueMem issues (or retries) the warp's pending memory instruction
+// on the closure-free event path.
+func warpIssueMem(a any) { a.(*warpState).issueMem() }
 
 // step fetches and issues the warp's next instruction.
 func (w *warpState) step() {
@@ -110,21 +117,23 @@ func (w *warpState) step() {
 		g.eng.AtEvent(ready, warpStep, w)
 		return
 	}
-	g.eng.At(ready, func() { w.issueMem(op) })
+	w.op = op
+	g.eng.AtEvent(ready, warpIssueMem, w)
 }
 
 // issueMem performs the memory half of an instruction. Loads and atomics
 // block the warp until every coalesced access responds; stores release the
 // warp after issue (write-through, relaxed consistency) but still count
 // against the SM's outstanding-request limit until acknowledged.
-func (w *warpState) issueMem(op WarpOp) {
+func (w *warpState) issueMem() {
 	s := w.sm
 	g := s.g
 	if g.failed {
 		return
 	}
+	op := w.op
 	if s.outstanding+len(op.Addrs) > g.cfg.MaxOutstanding {
-		g.eng.After(g.coreClk.Cycles(int64(g.cfg.RetryCycles)), func() { w.issueMem(op) })
+		g.eng.AfterEvent(g.coreClk.Cycles(int64(g.cfg.RetryCycles)), warpIssueMem, w)
 		return
 	}
 	switch op.Kind {
