@@ -134,7 +134,7 @@ func (c *CPU) L1HitRate() float64 { return c.l1.Stats.HitRate() }
 // the host will read next.
 func (c *CPU) FlushCaches() {
 	for _, wb := range c.l1.Flush() {
-		c.l2.Access(wb, true)
+		c.writeBackToL2(wb)
 	}
 	for _, wb := range c.l2.Flush() {
 		c.portWrite(wb)
@@ -199,7 +199,7 @@ func (c *CPU) tryMem(op Op) bool {
 	addr := op.Addr &^ mem.Addr(c.cfg.L1.LineBytes-1)
 	r1 := c.l1.Access(addr, op.Write)
 	if r1.HasWriteBack {
-		c.l2.Access(r1.WriteBack, true)
+		c.writeBackToL2(r1.WriteBack)
 	}
 	if r1.Hit && !r1.Forward {
 		c.cursor += c.clk.Cycles(int64(c.cfg.L1Cycles))
@@ -249,6 +249,14 @@ func (c *CPU) issueBelow(addr mem.Addr, write bool) {
 			}
 		})
 	})
+}
+
+// writeBackToL2 installs a dirty L1 victim in the L2. A dirty L2 line it
+// displaces goes on to memory.
+func (c *CPU) writeBackToL2(addr mem.Addr) {
+	if r := c.l2.Access(addr, true); r.HasWriteBack {
+		c.portWrite(r.WriteBack)
+	}
 }
 
 // portWrite issues an eviction write-back without occupying an MLP slot
