@@ -14,6 +14,8 @@ func BenchmarkTypedEvents(b *testing.B)     { TypedEvents(b) }
 func BenchmarkFlitHop(b *testing.B)         { FlitHop(b) }
 func BenchmarkSaturatedNoC(b *testing.B)    { SaturatedNoC(b) }
 func BenchmarkLowLoadNoC(b *testing.B)      { LowLoadNoC(b) }
+func BenchmarkCacheAccess(b *testing.B)     { CacheAccess(b) }
+func BenchmarkNewSystem(b *testing.B)       { NewSystem(b) }
 func BenchmarkFig07(b *testing.B)           { Fig07(b) }
 func BenchmarkFig12(b *testing.B)           { Fig12(b) }
 func BenchmarkFig16(b *testing.B)           { Fig16(b) }
