@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,6 +169,116 @@ func TestTraceContents(t *testing.T) {
 			t.Fatalf("JSONL row missing overlay gauge: %q", ln)
 		}
 	}
+}
+
+// TestAttachOrder pins the order in which components attach to a run's
+// collectors. Trace track ids and metrics CSV columns follow it, so a
+// reorder would silently renumber every track and move every column of
+// every artifact.
+func TestAttachOrder(t *testing.T) {
+	for _, arch := range []Arch{PCIe, UMN} {
+		dir := t.TempDir()
+		cfg := tiny(arch, "VA")
+		cfg.Overlay = arch == UMN
+		cfg.TraceOut = filepath.Join(dir, "run.trace.json")
+		cfg.MetricsOut = filepath.Join(dir, "run.metrics.csv")
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		hmcs := sys.Network().NumRouters()
+
+		wantTracks := []string{"host", "ske"}
+		for g := 0; g < cfg.NumGPUs; g++ {
+			wantTracks = append(wantTracks, fmt.Sprintf("ske/gpu%d", g))
+		}
+		for g := 0; g < cfg.NumGPUs; g++ {
+			wantTracks = append(wantTracks, fmt.Sprintf("gpu%d", g))
+		}
+		for h := 0; h < hmcs; h++ {
+			for v := 0; v < cfg.HMC.Vaults; v++ {
+				wantTracks = append(wantTracks, fmt.Sprintf("hmc%d/v%d", h, v))
+			}
+		}
+		if arch == PCIe {
+			for g := 0; g < cfg.NumGPUs; g++ {
+				wantTracks = append(wantTracks, fmt.Sprintf("pcie/gpu%d", g))
+			}
+			wantTracks = append(wantTracks, "pcie/cpu")
+		}
+		wantTracks = append(wantTracks, "noc/fault", "metrics")
+
+		wantCols := []string{"window", "time_ps"}
+		for h := 0; h < hmcs; h++ {
+			wantCols = append(wantCols, fmt.Sprintf("hmc%d.queued", h))
+		}
+		if arch == PCIe {
+			wantCols = append(wantCols, "pcie.bytes", "pcie.timeouts", "pcie.open_rt")
+		}
+		wantCols = append(wantCols, "noc.injected", "noc.retired", "noc.link_retries")
+		for c := 0; c < sys.Network().NumChannels(); c++ {
+			wantCols = append(wantCols, fmt.Sprintf("noc/ch%d.util", c))
+		}
+		for r := 0; r < hmcs; r++ {
+			wantCols = append(wantCols, fmt.Sprintf("noc/r%d.vcbuf", r))
+		}
+		if cfg.Overlay {
+			wantCols = append(wantCols, "noc/overlay.pass")
+		}
+
+		raw, err := os.ReadFile(cfg.TraceOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tf traceFile
+		if err := json.Unmarshal(raw, &tf); err != nil {
+			t.Fatal(err)
+		}
+		var tracks []string
+		for _, e := range tf.TraceEvents {
+			if e.Ph != "M" || e.Name != "thread_name" {
+				continue
+			}
+			if e.Tid != len(tracks)+1 {
+				t.Fatalf("%v: track %q has tid %d, want %d", arch, e.Args["name"], e.Tid, len(tracks)+1)
+			}
+			name, _ := e.Args["name"].(string)
+			tracks = append(tracks, name)
+		}
+		if d := orderDiff(tracks, wantTracks); d != "" {
+			t.Errorf("%v: trace track %s", arch, d)
+		}
+
+		mraw, err := os.ReadFile(cfg.MetricsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, _, _ := strings.Cut(string(mraw), "\n")
+		if d := orderDiff(strings.Split(header, ","), wantCols); d != "" {
+			t.Errorf("%v: metrics column %s", arch, d)
+		}
+	}
+}
+
+// orderDiff describes the first position where got and want differ, or
+// returns "" when they are equal.
+func orderDiff(got, want []string) string {
+	for i := 0; i < len(got) || i < len(want); i++ {
+		g, w := "(none)", "(none)"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			return fmt.Sprintf("%d is %q, want %q", i, g, w)
+		}
+	}
+	return ""
 }
 
 // TestMetricsRowCount checks the sampler contract end to end: a run of
