@@ -100,9 +100,6 @@ func NewDirectory(n int) *Directory {
 	return &Directory{agents: n, lines: make(map[mem.Addr]*entry)}
 }
 
-// Agents returns the number of caching agents.
-func (d *Directory) Agents() int { return d.agents }
-
 func (d *Directory) entryOf(line mem.Addr) *entry {
 	e, ok := d.lines[line]
 	if !ok {

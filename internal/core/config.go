@@ -85,9 +85,6 @@ func (a Arch) hasPCIe() bool {
 	return a == PCIe || a == PCIeZC || a == GMN || a == GMNZC
 }
 
-// hasGPUNetwork reports whether GPU clusters are interconnected.
-func (a Arch) hasGPUNetwork() bool { return a == GMN || a == GMNZC || a == UMN }
-
 // AuditMode selects whether a system attaches the self-audit layer: the
 // conservation invariants checked at every phase boundary (see package
 // audit). The audit is purely passive — it schedules no events and touches

@@ -186,7 +186,7 @@ type GPU struct {
 	failed bool
 
 	// accepted counts CTAs this GPU is responsible for executing: added by
-	// Launch/AddCTAs, removed by StealCTAs. The audit checks it against
+	// Launch, removed by StealCTAs. The audit checks it against
 	// executed + queued + active at every checkpoint.
 	accepted int64
 
@@ -322,22 +322,6 @@ func (g *GPU) Launch(kernel Kernel, ctas []int, onDone func()) {
 	}
 	g.ctxs = append(g.ctxs, ctx)
 	g.eng.After(g.cfg.LaunchLatency, g.fillSMs)
-}
-
-// AddCTAs appends stolen CTAs to this GPU's oldest live context mid-kernel.
-func (g *GPU) AddCTAs(ctas []int) {
-	if len(ctas) == 0 {
-		return
-	}
-	g.accepted += int64(len(ctas))
-	for _, c := range g.ctxs {
-		if c.busy() {
-			c.pending = append(c.pending, ctas...)
-			g.fillSMs()
-			return
-		}
-	}
-	panic("gpu: AddCTAs with no live kernel context")
 }
 
 // nextPending returns a context with unstarted CTAs, round-robin.

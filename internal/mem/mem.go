@@ -152,9 +152,6 @@ func (m *Mapping) PageBytes() int { return m.cfg.PageBytes }
 // LineBytes returns the cache-line interleave granularity.
 func (m *Mapping) LineBytes() int { return m.cfg.LineBytes }
 
-// TotalBytes returns the total physical capacity covered by the mapping.
-func (m *Mapping) TotalBytes() uint64 { return 1 << m.totalBits }
-
 // Decode splits a physical address into its resource location.
 func (m *Mapping) Decode(a Addr) Loc {
 	return Loc{

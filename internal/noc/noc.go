@@ -312,15 +312,6 @@ func (n *Network) AddRouter() int {
 	return r.id
 }
 
-// AddRouters appends k routers and returns the ID of the first.
-func (n *Network) AddRouters(k int) int {
-	first := len(n.routers)
-	for i := 0; i < k; i++ {
-		n.AddRouter()
-	}
-	return first
-}
-
 // NumRouters returns the router count.
 func (n *Network) NumRouters() int { return len(n.routers) }
 
@@ -483,11 +474,6 @@ func (n *Network) Send(pkt *Packet) {
 
 // Quiescent reports whether no flits or packets are in flight.
 func (n *Network) Quiescent() bool { return n.active == 0 }
-
-// FlitsInjected returns the total flits that have entered the network
-// (terminal injection and NI enqueue) since construction. The matching
-// retire count is FlitsRetired (fault.go).
-func (n *Network) FlitsInjected() int64 { return n.flitsInjected }
 
 // step advances the network one cycle. Order within a cycle:
 //  1. channel arrivals (flits into buffers / terminals, credits back,

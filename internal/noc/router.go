@@ -98,10 +98,6 @@ func (r *Router) ID() int { return r.id }
 // Degree returns the number of channel ports (router- and terminal-facing).
 func (r *Router) Degree() int { return len(r.out) }
 
-// SetAdaptive enables credit-based adaptive output selection on this
-// router's minimal route choices.
-func (r *Router) SetAdaptive(on bool) { r.adaptive = on }
-
 // BufferedFlits returns the flits resident in this router's input VC
 // buffers, including the NI injection port.
 func (r *Router) BufferedFlits() int {

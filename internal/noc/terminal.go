@@ -52,9 +52,6 @@ func (t *Terminal) ID() int { return t.id }
 // Name returns the terminal's label.
 func (t *Terminal) Name() string { return t.name }
 
-// NumPorts returns the number of channel-pair attachments.
-func (t *Terminal) NumPorts() int { return len(t.ports) }
-
 // QueuedFlits returns the number of flits waiting to inject, across ports.
 func (t *Terminal) QueuedFlits() int {
 	n := 0

@@ -102,12 +102,6 @@ func (b *Built) RouterID(cluster, local int) int {
 	return b.Routers[cluster][local]
 }
 
-// ClusterOf returns the cluster and local index of a router ID.
-func (b *Built) ClusterOf(router int) (cluster, local int) {
-	l := b.Spec.LocalPerCluster
-	return router / l, router % l
-}
-
 // BuildTopology constructs the network for spec on engine eng.
 func BuildTopology(eng *sim.Engine, cfg Config, spec TopoSpec) (*Built, error) {
 	if spec.Clusters <= 0 || spec.LocalPerCluster <= 0 {

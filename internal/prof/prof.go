@@ -129,9 +129,6 @@ func (r *PktRec) NoteArb() { r.switchArb++ }
 // ejection slot.
 func (r *PktRec) NoteEject() { r.eject++ }
 
-// Stage returns the picoseconds attributed to stage s so far.
-func (r *PktRec) Stage(s Stage) int64 { return r.stages[s] }
-
 func (r *PktRec) resetOpen(now int64) {
 	r.last = now
 	r.credit, r.vcAlloc, r.switchArb, r.eject = 0, 0, 0, 0

@@ -187,9 +187,6 @@ func NewMatrix(rows, cols int) *Matrix {
 // Rows returns the row count.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
-
 // Add accumulates d at (r, c).
 func (m *Matrix) Add(r, c int, d int64) { m.cells[r*m.cols+c] += d }
 
