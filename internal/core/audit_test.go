@@ -18,16 +18,16 @@ func TestAuditOnRunsCleanAndMatchesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sysOn.Audit() == nil || sysOn.Audit().NumCheckers() == 0 {
+		if sysOn.Probe().Audit == nil || sysOn.Probe().Audit.NumCheckers() == 0 {
 			t.Fatalf("%v: AuditOn produced no registered checkers", arch)
 		}
 		resOn, err := sysOn.Execute()
 		if err != nil {
 			t.Fatalf("%v: audited run failed: %v", arch, err)
 		}
-		if n := sysOn.Audit().Check(); n != 0 {
+		if n := sysOn.Probe().Audit.Check(); n != 0 {
 			t.Fatalf("%v: %d violations after clean run: %v",
-				arch, n, sysOn.Audit().Violations())
+				arch, n, sysOn.Probe().Audit.Violations())
 		}
 
 		cfgOff := tiny(arch, "BP")
@@ -36,7 +36,7 @@ func TestAuditOnRunsCleanAndMatchesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sysOff.Audit() != nil {
+		if sysOff.Probe().Audit != nil {
 			t.Fatalf("%v: AuditOff still built a registry", arch)
 		}
 		resOff, err := sysOff.Execute()
@@ -61,7 +61,7 @@ func TestAuditViolationSurfacesAsRunError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Audit().Register("tamper", func(report func(string)) {
+	s.Probe().Audit.Register("tamper", func(report func(string)) {
 		report("injected violation")
 	})
 	_, err = s.Execute()

@@ -37,7 +37,7 @@ func TestObsOnMatchesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sysOn.Tracer() == nil || sysOn.Sampler() == nil {
+		if sysOn.Probe().Trace == nil || sysOn.Probe().Metrics == nil {
 			t.Fatalf("%v: obs outputs named but tracer/sampler missing", arch)
 		}
 		resOn, err := sysOn.Execute()
@@ -55,7 +55,7 @@ func TestObsOnMatchesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sysOff.Tracer() != nil || sysOff.Sampler() != nil {
+		if sysOff.Probe().Trace != nil || sysOff.Probe().Metrics != nil {
 			t.Fatalf("%v: obs built without outputs named", arch)
 		}
 		resOff, err := sysOff.Execute()

@@ -141,16 +141,16 @@ func (s *System) emitProgress(event, phase string) {
 // the trace and metrics files named by the config. It runs after the last
 // event, so file I/O cannot perturb the simulation.
 func (s *System) flushObs() error {
-	if s.tr == nil && s.samp == nil {
+	if s.probe.Trace == nil && s.probe.Metrics == nil {
 		return nil
 	}
-	s.samp.Finish(s.eng.Now())
-	if s.cfg.TraceOut != "" && s.tr != nil {
+	s.probe.Metrics.Finish(s.eng.Now())
+	if s.cfg.TraceOut != "" && s.probe.Trace != nil {
 		f, err := os.Create(s.cfg.TraceOut)
 		if err != nil {
 			return fmt.Errorf("core: trace output: %w", err)
 		}
-		werr := s.tr.Write(f)
+		werr := s.probe.Trace.Write(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -158,16 +158,16 @@ func (s *System) flushObs() error {
 			return fmt.Errorf("core: trace output: %w", werr)
 		}
 	}
-	if s.cfg.MetricsOut != "" && s.samp != nil {
+	if s.cfg.MetricsOut != "" && s.probe.Metrics != nil {
 		f, err := os.Create(s.cfg.MetricsOut)
 		if err != nil {
 			return fmt.Errorf("core: metrics output: %w", err)
 		}
 		var werr error
 		if strings.HasSuffix(s.cfg.MetricsOut, ".jsonl") {
-			werr = s.samp.WriteJSONL(f)
+			werr = s.probe.Metrics.WriteJSONL(f)
 		} else {
-			werr = s.samp.WriteCSV(f)
+			werr = s.probe.Metrics.WriteCSV(f)
 		}
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
@@ -184,14 +184,14 @@ func (s *System) flushObs() error {
 // any). It runs after the last event, so snapshotting and file I/O cannot
 // perturb the simulation.
 func (s *System) flushProf() error {
-	if s.profRun == nil {
+	if s.probe.Prof == nil {
 		return nil
 	}
 	p := &prof.Profile{
 		Run: s.runLabel,
 		Net: s.net.ProfSnapshot(),
 	}
-	p.Kernels, p.KernelSpans = s.profRun.Kern.Snapshot()
+	p.Kernels, p.KernelSpans = s.probe.Prof.Kern.Snapshot()
 	for i, h := range s.hmcs {
 		p.HMCs = append(p.HMCs, h.ProfSnapshot(i))
 	}
@@ -220,11 +220,11 @@ func (s *System) flushProf() error {
 // checkAudits runs the registered invariant checkers (a no-op with auditing
 // off) and converts any violations into an error naming the failing point.
 func (s *System) checkAudits(where string) error {
-	if s.aud == nil {
+	if s.probe.Audit == nil {
 		return nil
 	}
-	s.aud.Check()
-	if err := s.aud.Err(); err != nil {
+	s.probe.Audit.Check()
+	if err := s.probe.Audit.Err(); err != nil {
 		return fmt.Errorf("core: audit after %s: %w", where, err)
 	}
 	return nil
@@ -258,8 +258,8 @@ func (s *System) runPhase(name string, start func(done func())) (sim.Time, error
 	// is as invisible as no canceller at all; a tripped one halts the run
 	// before the next event, well inside one watchdog interval.
 	s.eng.RunWhile(func() bool {
-		if s.samp != nil {
-			s.samp.Advance(s.eng.Now())
+		if s.probe.Metrics != nil {
+			s.probe.Metrics.Advance(s.eng.Now())
 		}
 		if finished {
 			return false

@@ -47,24 +47,14 @@ type System struct {
 
 	dir *coherence.Directory
 
-	// aud is the system's invariant registry; nil when auditing is off.
-	// Checks run at phase boundaries, where the engine is between events
-	// and every conservation equation must balance.
-	aud *audit.Registry
-
-	// tr/samp are the observability layer; nil unless the config names a
-	// trace or metrics output. Like auditing, they are passive: the run's
-	// event sequence and results are identical with them on or off.
-	tr        *obs.Tracer
-	samp      *obs.Sampler
+	// probe holds the run's collectors, each nil unless the config turns
+	// it on (see instrument). Audit checks run at phase boundaries, where
+	// the engine is between events and every conservation equation must
+	// balance. hostTrack carries the phase spans; profile is the snapshot
+	// assembled after the last event.
+	probe     obs.Probe
 	hostTrack obs.Track
-
-	// profRun is the latency-attribution profiler; nil unless the config
-	// requests a profile. Like tracing it is passive: the run's event
-	// sequence and results are identical with it on or off. profile is
-	// the snapshot assembled after the last event.
-	profRun *prof.Run
-	profile *prof.Profile
+	profile   *prof.Profile
 
 	// prog is the resolved progress sink (nil when none); runLabel names
 	// this run in its events as "<workload>/<arch>".
@@ -195,120 +185,88 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := s.allocBuffers(); err != nil {
 		return nil, err
 	}
-	if cfg.auditEnabled() {
-		s.aud = audit.New(func() int64 { return int64(s.eng.Now()) })
-		s.registerAudits()
-	}
 	s.prog = cfg.Progress
 	s.stop = cfg.Stop
 	s.runLabel = w.Abbr + "/" + cfg.Arch.String()
-	if s.cfg.Profile || s.cfg.ProfileOut != "" {
-		s.profRun = prof.NewRun()
-		s.profRun.Label = s.runLabel
-		s.attachProf()
-	}
-	if s.cfg.TraceOut != "" || s.cfg.MetricsOut != "" {
-		if s.cfg.TraceOut != "" {
-			s.tr = obs.NewTracer()
-		}
-		// The sampler runs whenever observability is on: with only a trace
-		// requested, its windows still feed the trace's counter tracks.
-		s.samp = obs.NewSampler(s.cfg.MetricsEpoch)
-		s.attachObs()
-	}
+	s.instrument()
 	if err := s.scheduleFaults(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// attachObs wires the observability layer through every subsystem. New
-// components follow the same pattern as registerAudits: implement
-// AttachTracer / RegisterObs and hook them in here. All calls are nil-safe,
-// so a metrics-only run (nil tracer) reuses the same wiring.
-func (s *System) attachObs() {
-	s.hostTrack = s.tr.NewTrack("host")
-	s.rt.AttachTracer(s.tr)
+// instrument builds the run's probe from the config and attaches every
+// component to it: host, SKE, every GPU, every HMC, PCIe, the NoC, then
+// the metrics-to-trace bridge. Trace track ids, metrics columns and
+// checker order all follow this order, and the NoC's gauges and profiler
+// need the finished topology, so it runs once the system is built. A new
+// component implements Instrument(obs.Probe) and is attached here. With
+// every collector off it returns before touching a component.
+func (s *System) instrument() {
+	var p obs.Probe
+	if s.cfg.auditEnabled() {
+		p.Audit = audit.New(func() int64 { return int64(s.eng.Now()) })
+	}
+	if s.cfg.TraceOut != "" {
+		p.Trace = obs.NewTracer()
+	}
+	if s.cfg.TraceOut != "" || s.cfg.MetricsOut != "" {
+		// The sampler runs whenever observability is on: with only a trace
+		// requested, its windows still feed the trace's counter tracks.
+		p.Metrics = obs.NewSampler(s.cfg.MetricsEpoch)
+	}
+	if s.cfg.Profile || s.cfg.ProfileOut != "" {
+		p.Prof = prof.NewRun()
+	}
+	s.probe = p
+	if p == (obs.Probe{}) {
+		return
+	}
+	if p.Audit != nil {
+		p.Audit.Register("sim", func(report func(string)) {
+			if err := s.eng.AuditInvariants(); err != nil {
+				report(err.Error())
+			}
+		})
+	}
+	s.hostTrack = p.Trace.NewTrack("host")
+	s.rt.Instrument(p)
 	for _, g := range s.gpus {
-		g.AttachTracer(s.tr)
+		g.Instrument(p)
 	}
 	for i, h := range s.hmcs {
-		name := fmt.Sprintf("hmc%d", i)
-		h.AttachTracer(s.tr, name)
-		h.RegisterObs(s.samp, name)
+		h.Instrument(p, fmt.Sprintf("hmc%d", i))
 	}
 	if s.fabric != nil {
-		s.fabric.AttachTracer(s.tr)
-		s.fabric.RegisterObs(s.samp)
+		s.fabric.Instrument(p)
 	}
-	s.net.RegisterObs(s.samp)
-	s.net.AttachTracer(s.tr)
+	s.net.Instrument(p)
+	if p.Audit != nil {
+		// The system releases every delivered packet, so it can state the
+		// strict form of the packet-ledger invariant the network itself
+		// cannot (release discipline is the consumer's): a quiescent
+		// network has no live packets at all.
+		p.Audit.Register("noc-pool", func(report func(string)) {
+			if s.net.Quiescent() {
+				if live := s.net.LivePackets(); live != 0 {
+					report(fmt.Sprintf("quiescent network still has %d unreleased packets", live))
+				}
+			}
+		})
+		if p.Prof != nil {
+			// Every packet's stage decomposition must sum exactly to its
+			// end-to-end latency.
+			p.Audit.Register("prof", p.Prof.Net.Audit)
+		}
+	}
 	// Last, so the bridge track sorts after the component tracks: mirror
 	// every metrics window onto the trace as counter series.
-	s.samp.AttachTracer(s.tr)
+	p.Metrics.AttachTracer(p.Trace)
 }
 
-// attachProf wires the latency-attribution profiler through the network
-// and the compute side. The runtime fans the kernel profiler out to its
-// GPUs; the HMC and PCIe sections are snapshots taken at flush time, so
-// they need no hooks here.
-func (s *System) attachProf() {
-	s.net.AttachProf(s.profRun.Net)
-	s.rt.AttachProf(s.profRun.Kern)
-}
-
-// registerAudits attaches every subsystem's conservation checkers to the
-// system registry. New components follow the same pattern: implement
-// RegisterAudits and hook it in here.
-func (s *System) registerAudits() {
-	reg := s.aud
-	reg.Register("sim", func(report func(string)) {
-		if err := s.eng.AuditInvariants(); err != nil {
-			report(err.Error())
-		}
-	})
-	s.net.RegisterAudits(reg)
-	// The system releases every delivered packet, so it can state the
-	// strict form of the packet-ledger invariant the network itself cannot
-	// (release discipline is the consumer's): a quiescent network has no
-	// live packets at all.
-	reg.Register("noc-pool", func(report func(string)) {
-		if s.net.Quiescent() {
-			if live := s.net.LivePackets(); live != 0 {
-				report(fmt.Sprintf("quiescent network still has %d unreleased packets", live))
-			}
-		}
-	})
-	// The profiler attaches after audit registration, so the check
-	// resolves it lazily: with a profile requested, every packet's stage
-	// decomposition must sum exactly to its end-to-end latency.
-	reg.Register("prof", func(report func(string)) {
-		if s.profRun != nil {
-			s.profRun.Net.Audit(report)
-		}
-	})
-	s.rt.RegisterAudits(reg)
-	for _, g := range s.gpus {
-		g.RegisterAudits(reg)
-	}
-	for i, h := range s.hmcs {
-		h.RegisterAudits(reg, fmt.Sprintf("hmc%d", i))
-	}
-	if s.fabric != nil {
-		s.fabric.RegisterAudits(reg)
-	}
-}
-
-// Audit returns the system's invariant registry, or nil when auditing is
-// disabled.
-func (s *System) Audit() *audit.Registry { return s.aud }
-
-// Tracer returns the system's timeline tracer, or nil when tracing is off.
-func (s *System) Tracer() *obs.Tracer { return s.tr }
-
-// Sampler returns the system's metrics sampler, or nil when observability
-// is off.
-func (s *System) Sampler() *obs.Sampler { return s.samp }
+// Probe returns the run's collectors; a nil field is a collector that is
+// off.
+func (s *System) Probe() obs.Probe { return s.probe }
 
 // Profile returns the latency-attribution profile assembled after the
 // run, or nil when profiling is off (or the run has not executed yet).

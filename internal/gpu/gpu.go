@@ -18,7 +18,6 @@ package gpu
 import (
 	"fmt"
 
-	"memnet/internal/audit"
 	"memnet/internal/cache"
 	"memnet/internal/mem"
 	"memnet/internal/obs"
@@ -439,20 +438,55 @@ func (g *GPU) Progress() int64 {
 		g.Stats.Loads.Value() + g.Stats.Stores.Value() + g.Stats.Atomics.Value()
 }
 
-// AttachTracer creates this GPU's trace track, carrying the active-CTA
-// occupancy counter. A nil tracer leaves the GPU inert.
-func (g *GPU) AttachTracer(t *obs.Tracer) {
-	if t == nil {
-		return
+// Instrument attaches this GPU to a run's collectors; a nil one leaves
+// that part of the GPU inert.
+//
+//   - Audit: the "gpu<id>" checker of CTA conservation. Every CTA the GPU
+//     accepted (launches and steals in, steals out) is either executed,
+//     queued, or resident on an SM — never duplicated or dropped.
+//     Occupancy counters must stay non-negative.
+//   - Trace: a "gpu<id>" track carrying the active-CTA occupancy counter.
+//   - Prof: the compute-side profiler. Each launch resolves its (kernel,
+//     GPU) record once, and the warp and memory hot paths accumulate into
+//     it through a cached pointer.
+func (g *GPU) Instrument(p obs.Probe) {
+	name := fmt.Sprintf("gpu%d", g.id)
+	g.trace = p.Trace.NewTrack(name)
+	if p.Prof != nil {
+		g.kprof = p.Prof.Kern
 	}
-	g.trace = t.NewTrack(fmt.Sprintf("gpu%d", g.id))
+	if p.Audit != nil {
+		p.Audit.Register(name, func(report func(string)) {
+			var queued, active int64
+			for i, c := range g.ctxs {
+				if c.activeCTAs < 0 {
+					report(fmt.Sprintf("context %d has %d active CTAs", i, c.activeCTAs))
+				}
+				if c.memInFlight < 0 {
+					report(fmt.Sprintf("context %d has %d memory ops in flight", i, c.memInFlight))
+				}
+				if c.childrenLive < 0 {
+					report(fmt.Sprintf("context %d has %d live children", i, c.childrenLive))
+				}
+				queued += int64(len(c.pending))
+				active += int64(c.activeCTAs)
+			}
+			if got := g.Stats.CTAs.Value() + queued + active; got != g.accepted {
+				report(fmt.Sprintf("CTA conservation: %d executed + %d queued + %d active = %d, want %d accepted",
+					g.Stats.CTAs.Value(), queued, active, got, g.accepted))
+			}
+			for _, s := range g.sms {
+				if s.residentCTAs < 0 || s.residentThreads < 0 || s.outstanding < 0 {
+					report(fmt.Sprintf("SM %d occupancy negative (ctas=%d threads=%d outstanding=%d)",
+						s.id, s.residentCTAs, s.residentThreads, s.outstanding))
+				}
+				if s.residentCTAs > g.cfg.MaxCTAsPerCore {
+					report(fmt.Sprintf("SM %d holds %d CTAs, limit %d", s.id, s.residentCTAs, g.cfg.MaxCTAsPerCore))
+				}
+			}
+		})
+	}
 }
-
-// AttachProf attaches the compute-side profiler: each launch resolves its
-// (kernel, GPU) record once, and the warp and memory hot paths accumulate
-// into it through a cached pointer. Strictly passive; nil leaves the GPU
-// inert.
-func (g *GPU) AttachProf(kp *prof.KernProf) { g.kprof = kp }
 
 // traceOccupancy samples the device's resident-CTA count onto the trace;
 // a single nil check when tracing is off.
@@ -541,40 +575,3 @@ func (g *GPU) l2Access(addr mem.Addr, write, atomic bool, done func()) {
 
 // L2CacheStats exposes the shared L2's statistics.
 func (g *GPU) L2CacheStats() *cache.Stats { return &g.l2.Stats }
-
-// RegisterAudits attaches this GPU's bookkeeping checkers to reg. The core
-// invariant is CTA conservation: every CTA the GPU accepted (launches and
-// steals in, steals out) is either executed, queued, or resident on an SM
-// — never duplicated or dropped. Occupancy counters must stay non-negative.
-func (g *GPU) RegisterAudits(reg *audit.Registry) {
-	name := fmt.Sprintf("gpu%d", g.id)
-	reg.Register(name, func(report func(string)) {
-		var queued, active int64
-		for i, c := range g.ctxs {
-			if c.activeCTAs < 0 {
-				report(fmt.Sprintf("context %d has %d active CTAs", i, c.activeCTAs))
-			}
-			if c.memInFlight < 0 {
-				report(fmt.Sprintf("context %d has %d memory ops in flight", i, c.memInFlight))
-			}
-			if c.childrenLive < 0 {
-				report(fmt.Sprintf("context %d has %d live children", i, c.childrenLive))
-			}
-			queued += int64(len(c.pending))
-			active += int64(c.activeCTAs)
-		}
-		if got := g.Stats.CTAs.Value() + queued + active; got != g.accepted {
-			report(fmt.Sprintf("CTA conservation: %d executed + %d queued + %d active = %d, want %d accepted",
-				g.Stats.CTAs.Value(), queued, active, got, g.accepted))
-		}
-		for _, s := range g.sms {
-			if s.residentCTAs < 0 || s.residentThreads < 0 || s.outstanding < 0 {
-				report(fmt.Sprintf("SM %d occupancy negative (ctas=%d threads=%d outstanding=%d)",
-					s.id, s.residentCTAs, s.residentThreads, s.outstanding))
-			}
-			if s.residentCTAs > g.cfg.MaxCTAsPerCore {
-				report(fmt.Sprintf("SM %d holds %d CTAs, limit %d", s.id, s.residentCTAs, g.cfg.MaxCTAsPerCore))
-			}
-		}
-	})
-}

@@ -12,7 +12,6 @@ package hmc
 import (
 	"fmt"
 
-	"memnet/internal/audit"
 	"memnet/internal/dram"
 	"memnet/internal/mem"
 	"memnet/internal/obs"
@@ -190,58 +189,54 @@ func (h *HMC) QueuedRequests() int {
 	return n
 }
 
-// AttachTracer creates one trace track per vault (named "<name>/v<i>"),
-// carrying bank access spans and queue-depth counters. A nil tracer
-// leaves the cube inert.
-func (h *HMC) AttachTracer(t *obs.Tracer, name string) {
-	if t == nil {
-		return
-	}
-	for i, v := range h.vaults {
-		v.trace = t.NewTrack(fmt.Sprintf("%s/v%d", name, i))
-	}
-}
-
-// RegisterObs registers this cube's windowed gauges on sm.
-func (h *HMC) RegisterObs(sm *obs.Sampler, name string) {
-	if sm == nil {
-		return
-	}
-	sm.Gauge(name+".queued", func() float64 {
-		q := 0
-		for _, v := range h.vaults {
-			q += len(v.queue) + v.inService
-		}
-		return float64(q)
-	})
-}
-
-// RegisterAudits attaches this cube's checkers to reg under the given
-// component name. Request conservation: every submitted request is queued,
-// in service, or completed — Done fires exactly once per request. Bank FSM
-// violations recorded by the dram layer are drained and reported with their
-// vault/bank coordinates.
-func (h *HMC) RegisterAudits(reg *audit.Registry, name string) {
-	reg.Register(name, func(report func(string)) {
-		submitted := h.Stats.Reads.Value() + h.Stats.Writes.Value() + h.Stats.Atomics.Value()
-		var queued, inService int64
-		for vi, v := range h.vaults {
-			if v.inService < 0 {
-				report(fmt.Sprintf("vault %d in-service count negative: %d", vi, v.inService))
-			}
-			queued += int64(len(v.queue))
-			inService += int64(v.inService)
-			for bi, b := range v.banks {
-				for _, msg := range b.TakeViolations() {
-					report(fmt.Sprintf("vault %d bank %d: %s", vi, bi, msg))
+// Instrument attaches this cube to a run's collectors under the given
+// component name; a nil one leaves that part of the cube inert.
+//
+//   - Audit: the name's checker of request conservation. Every submitted
+//     request is queued, in service, or completed — Done fires exactly
+//     once per request. Bank FSM violations recorded by the dram layer
+//     are drained and reported with their vault/bank coordinates.
+//   - Trace: one track per vault (named "<name>/v<i>"), carrying bank
+//     access spans and queue-depth counters.
+//   - Metrics: the "<name>.queued" gauge of requests waiting or in
+//     service.
+func (h *HMC) Instrument(p obs.Probe, name string) {
+	if p.Audit != nil {
+		p.Audit.Register(name, func(report func(string)) {
+			submitted := h.Stats.Reads.Value() + h.Stats.Writes.Value() + h.Stats.Atomics.Value()
+			var queued, inService int64
+			for vi, v := range h.vaults {
+				if v.inService < 0 {
+					report(fmt.Sprintf("vault %d in-service count negative: %d", vi, v.inService))
+				}
+				queued += int64(len(v.queue))
+				inService += int64(v.inService)
+				for bi, b := range v.banks {
+					for _, msg := range b.TakeViolations() {
+						report(fmt.Sprintf("vault %d bank %d: %s", vi, bi, msg))
+					}
 				}
 			}
+			if submitted != h.completed+queued+inService {
+				report(fmt.Sprintf("request conservation: %d submitted != %d completed + %d queued + %d in service",
+					submitted, h.completed, queued, inService))
+			}
+		})
+	}
+	if p.Trace != nil {
+		for i, v := range h.vaults {
+			v.trace = p.Trace.NewTrack(fmt.Sprintf("%s/v%d", name, i))
 		}
-		if submitted != h.completed+queued+inService {
-			report(fmt.Sprintf("request conservation: %d submitted != %d completed + %d queued + %d in service",
-				submitted, h.completed, queued, inService))
-		}
-	})
+	}
+	if p.Metrics != nil {
+		p.Metrics.Gauge(name+".queued", func() float64 {
+			q := 0
+			for _, v := range h.vaults {
+				q += len(v.queue) + v.inService
+			}
+			return float64(q)
+		})
+	}
 }
 
 // vault is one vault controller: a request queue, a shared data bus, and
@@ -264,7 +259,7 @@ type vault struct {
 	// inService counts requests popped from the queue whose completion
 	// event has not fired yet.
 	inService int
-	// trace is this vault's timeline (inert unless HMC.AttachTracer ran).
+	// trace is this vault's timeline (inert unless Instrument attached a tracer).
 	trace obs.Track
 }
 

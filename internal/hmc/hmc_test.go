@@ -6,6 +6,7 @@ import (
 
 	"memnet/internal/audit"
 	"memnet/internal/mem"
+	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
 
@@ -228,7 +229,7 @@ func TestRefreshDisabledByDefault(t *testing.T) {
 func TestRequestConservationAudit(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	h.RegisterAudits(reg, "hmc0")
+	h.Instrument(obs.Probe{Audit: reg}, "hmc0")
 	completed := 0
 	for i := 0; i < 200; i++ {
 		h.Submit(&Request{
@@ -279,7 +280,7 @@ func TestRequestConservationAudit(t *testing.T) {
 func TestFailedVaultDrainsAndRejects(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	h.RegisterAudits(reg, "hmc0")
+	h.Instrument(obs.Probe{Audit: reg}, "hmc0")
 	completed := 0
 	if !h.Submit(&Request{Loc: mem.Loc{Vault: 2, Bank: 0, Row: 1},
 		Done: func(*Request) { completed++ }}) {

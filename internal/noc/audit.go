@@ -1,15 +1,11 @@
 package noc
 
-import (
-	"fmt"
+import "fmt"
 
-	"memnet/internal/audit"
-)
-
-// RegisterAudits attaches the network's conservation checkers to reg. The
-// invariants are stated over event-boundary state (between network cycles),
-// where every credit decrement has a matching in-flight credit or buffered
-// flit and vice versa:
+// audit is the network's conservation checker, registered as "noc" by
+// Instrument. The invariants are stated over event-boundary state
+// (between network cycles), where every credit decrement has a matching
+// in-flight credit or buffered flit and vice versa:
 //
 //   - Flit conservation: flits injected = flits retired + flits resident in
 //     channel FIFOs, hold queues, and router VC buffers.
@@ -31,16 +27,14 @@ import (
 //     per-router occupancy counts behind the router set are exact.
 //   - Claims: each output port's claim count, and the router's eject
 //     count, equal the active input VCs allocated to it.
-func (n *Network) RegisterAudits(reg *audit.Registry) {
-	reg.Register("noc", func(report func(string)) {
-		n.auditFlitConservation(report)
-		n.auditPacketLedger(report)
-		n.auditCredits(report)
-		n.auditVCLegality(report)
-		n.auditVCAllocation(report)
-		n.auditBusySets(report)
-		n.auditClaims(report)
-	})
+func (n *Network) audit(report func(string)) {
+	n.auditFlitConservation(report)
+	n.auditPacketLedger(report)
+	n.auditCredits(report)
+	n.auditVCLegality(report)
+	n.auditVCAllocation(report)
+	n.auditBusySets(report)
+	n.auditClaims(report)
 }
 
 // residentFlits counts every flit currently buffered inside the network:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memnet/internal/audit"
+	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func TestNetworkAuditCleanTraffic(t *testing.T) {
 		}
 		newEcho(b, 9)
 		reg := audit.New(func() int64 { return int64(eng.Now()) })
-		b.Net.RegisterAudits(reg)
+		b.Net.Instrument(obs.Probe{Audit: reg})
 		if reg.NumCheckers() == 0 {
 			t.Fatal("no checkers registered")
 		}
@@ -69,7 +70,7 @@ func TestNetworkAuditCleanTraffic(t *testing.T) {
 func TestNetworkAuditDetectsTampering(t *testing.T) {
 	b, _, _ := randomTraffic(t, TopoSFBFLY, 200, false, false)
 	reg := audit.New(func() int64 { return 0 })
-	b.Net.RegisterAudits(reg)
+	b.Net.Instrument(obs.Probe{Audit: reg})
 	if reg.Check() != 0 {
 		t.Fatalf("drained network not clean: %v", reg.Violations())
 	}
@@ -149,7 +150,7 @@ func TestNetworkAuditDetectsClearedBusyBits(t *testing.T) {
 	newEcho(b, 9)
 	n := b.Net
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	n.RegisterAudits(reg)
+	n.Instrument(obs.Probe{Audit: reg})
 	// Every terminal queues far more flits than it can inject by the check
 	// instant, which falls between network cycles.
 	eng.At(sim.Nanosecond, func() {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"memnet/internal/obs"
 )
 
 // This file implements the network's fault model (ISSUE 5):
@@ -241,17 +239,6 @@ func (n *Network) FlitsRetired() int64 { return n.flitsRetired }
 // LinkRetries returns total link-level flit retransmissions across all
 // channels.
 func (n *Network) LinkRetries() int64 { return n.linkRetries }
-
-// AttachTracer creates a "noc/fault" track carrying fault and recovery
-// instants: retransmissions, retry exhaustion and link failures. A nil
-// tracer leaves the network inert; tracing is passive and never alters
-// behavior.
-func (n *Network) AttachTracer(t *obs.Tracer) {
-	if t == nil {
-		return
-	}
-	n.faultTrack = t.NewTrack("noc/fault")
-}
 
 func (n *Network) noteRetransmit(c *Channel, pkt *Packet, attempt int) {
 	n.linkRetries++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memnet/internal/audit"
+	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
 
@@ -15,7 +16,7 @@ import (
 func auditClean(t *testing.T, eng *sim.Engine, n *Network) *audit.Registry {
 	t.Helper()
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	n.RegisterAudits(reg)
+	n.Instrument(obs.Probe{Audit: reg})
 	t.Cleanup(func() {
 		if k := reg.Check(); k != 0 {
 			for _, v := range reg.Violations() {

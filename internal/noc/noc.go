@@ -114,7 +114,7 @@ type Packet struct {
 	free bool
 
 	// prof is the packet's open latency-attribution record; nil unless a
-	// profiler is attached (see AttachProf).
+	// profiler is attached (see Instrument).
 	prof *prof.PktRec
 }
 

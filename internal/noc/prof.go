@@ -2,27 +2,6 @@ package noc
 
 import "memnet/internal/prof"
 
-// AttachProf attaches a latency-attribution profiler. Call after the
-// topology is finalized and before traffic starts. The profiler is
-// strictly passive: it schedules no events and the simulated outcome is
-// byte-identical with it attached or not; with no profiler attached every
-// hook costs one nil check (0 allocs/flit-hop, pinned by benchmark).
-func (n *Network) AttachProf(np *prof.NetProf) {
-	if np == nil {
-		return
-	}
-	period := int64(n.clk.Period())
-	np.Configure(period,
-		int64(n.cfg.SerDesCycles)*period,
-		int64(n.cfg.WireCycles)*period,
-		int64(n.cfg.PassThrough+n.cfg.WireCycles)*period,
-		n.cfg.Classes)
-	for _, r := range n.routers {
-		np.AddRouter(len(r.ports), n.totalVCs())
-	}
-	n.prof = np
-}
-
 // classifyCycle runs once per cycle after allocation, attributing the
 // current cycle to a stall cause for every buffered VC whose front flit
 // is ready but did not move. Head-flit causes also feed the per-packet

@@ -3,6 +3,7 @@ package noc
 import (
 	"testing"
 
+	"memnet/internal/obs"
 	"memnet/internal/prof"
 	"memnet/internal/sim"
 )
@@ -26,7 +27,7 @@ func buildClosedLoop(t testing.TB, eng *sim.Engine, np *prof.NetProf) *Network {
 	}
 	n := b.Net
 	if np != nil {
-		n.AttachProf(np)
+		n.Instrument(obs.Probe{Prof: &prof.Run{Net: np}})
 	}
 	n.RouterSink = func(r int, pkt *Packet) {
 		src := pkt.SrcTerm

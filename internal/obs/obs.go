@@ -3,7 +3,8 @@
 // picoseconds, and a Sampler that snapshots registered gauges every fixed
 // sim-time window (see sampler.go). Traces serialize as Chrome trace_event
 // JSON and open directly in ui.perfetto.dev; metrics serialize as CSV or
-// JSONL time series.
+// JSONL time series. A Probe (see probe.go) hands both, with the run's
+// audit registry and latency profiler, to each component in one call.
 //
 // Like the audit layer, obs is strictly passive: it schedules no events and
 // touches no simulation state, so results are byte-identical with it on or

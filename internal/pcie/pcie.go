@@ -13,7 +13,6 @@ package pcie
 import (
 	"fmt"
 
-	"memnet/internal/audit"
 	"memnet/internal/obs"
 	"memnet/internal/prof"
 	"memnet/internal/sim"
@@ -111,28 +110,45 @@ func (f *Fabric) AddEndpoint(name string) int {
 // NumEndpoints returns the endpoint count.
 func (f *Fabric) NumEndpoints() int { return len(f.ports) }
 
-// AttachTracer creates one trace track per endpoint, carrying its
-// outbound transfer spans. Call after all endpoints are added; a nil
-// tracer leaves the fabric inert.
-func (f *Fabric) AttachTracer(t *obs.Tracer) {
-	if t == nil {
-		return
+// Instrument attaches the fabric to a run's collectors; a nil one leaves
+// that part of the fabric inert. Call it after all endpoints are added.
+//
+//   - Audit: the "pcie" checker. The request/response ledger must never
+//     go negative (a double-sent response), and wire bytes must dominate
+//     payload bytes since every TLP adds header overhead.
+//   - Trace: one track per endpoint, carrying its outbound transfer spans.
+//   - Metrics: payload bytes and timeouts per window, and open round
+//     trips.
+func (f *Fabric) Instrument(p obs.Probe) {
+	if p.Audit != nil {
+		p.Audit.Register("pcie", func(report func(string)) {
+			if f.rtOpen < 0 {
+				report(fmt.Sprintf("round-trip ledger negative: %d (response sent twice)", f.rtOpen))
+			}
+			if f.retryOpen < 0 {
+				report(fmt.Sprintf("retry ledger negative: %d (retry ran twice)", f.retryOpen))
+			}
+			if f.Stats.Retries.Value() != f.Stats.Timeouts.Value() {
+				report(fmt.Sprintf("retry/timeout imbalance: %d retries for %d timeouts",
+					f.Stats.Retries.Value(), f.Stats.Timeouts.Value()))
+			}
+			if f.Stats.WireBytes.Value() < f.Stats.Bytes.Value() {
+				report(fmt.Sprintf("wire bytes %d below payload bytes %d (header accounting lost)",
+					f.Stats.WireBytes.Value(), f.Stats.Bytes.Value()))
+			}
+		})
 	}
-	f.traces = make([]obs.Track, len(f.ports))
-	for i, p := range f.ports {
-		f.traces[i] = t.NewTrack("pcie/" + p.name)
+	if p.Trace != nil {
+		f.traces = make([]obs.Track, len(f.ports))
+		for i, pt := range f.ports {
+			f.traces[i] = p.Trace.NewTrack("pcie/" + pt.name)
+		}
 	}
-}
-
-// RegisterObs registers the fabric's windowed gauges on sm: payload bytes
-// moved per window and open round trips.
-func (f *Fabric) RegisterObs(sm *obs.Sampler) {
-	if sm == nil {
-		return
+	if sm := p.Metrics; sm != nil {
+		sm.Rate("pcie.bytes", func() float64 { return float64(f.Stats.Bytes.Value()) }, 1)
+		sm.Rate("pcie.timeouts", func() float64 { return float64(f.Stats.Timeouts.Value()) }, 1)
+		sm.Gauge("pcie.open_rt", func() float64 { return float64(f.rtOpen) })
 	}
-	sm.Rate("pcie.bytes", func() float64 { return float64(f.Stats.Bytes.Value()) }, 1)
-	sm.Rate("pcie.timeouts", func() float64 { return float64(f.Stats.Timeouts.Value()) }, 1)
-	sm.Gauge("pcie.open_rt", func() float64 { return float64(f.rtOpen) })
 }
 
 // wireTime returns the serialization time of n payload bytes including TLP
@@ -245,28 +261,6 @@ func (f *Fabric) RoundTrip(src, dst int, reqBytes, respBytes int64, service func
 // OpenRoundTrips returns the number of round trips whose response has not
 // been sent yet.
 func (f *Fabric) OpenRoundTrips() int64 { return f.rtOpen }
-
-// RegisterAudits attaches the fabric's checkers to reg: the request/response
-// ledger must never go negative (a double-sent response), and wire bytes
-// must dominate payload bytes since every TLP adds header overhead.
-func (f *Fabric) RegisterAudits(reg *audit.Registry) {
-	reg.Register("pcie", func(report func(string)) {
-		if f.rtOpen < 0 {
-			report(fmt.Sprintf("round-trip ledger negative: %d (response sent twice)", f.rtOpen))
-		}
-		if f.retryOpen < 0 {
-			report(fmt.Sprintf("retry ledger negative: %d (retry ran twice)", f.retryOpen))
-		}
-		if f.Stats.Retries.Value() != f.Stats.Timeouts.Value() {
-			report(fmt.Sprintf("retry/timeout imbalance: %d retries for %d timeouts",
-				f.Stats.Retries.Value(), f.Stats.Timeouts.Value()))
-		}
-		if f.Stats.WireBytes.Value() < f.Stats.Bytes.Value() {
-			report(fmt.Sprintf("wire bytes %d below payload bytes %d (header accounting lost)",
-				f.Stats.WireBytes.Value(), f.Stats.Bytes.Value()))
-		}
-	})
-}
 
 // ProfSnapshot renders the fabric's counters as a profile section (the
 // flush-time snapshot used by internal/prof; no hot-path hooks needed —

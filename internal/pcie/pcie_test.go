@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memnet/internal/audit"
+	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
 
@@ -133,7 +134,7 @@ func TestZeroByteTransferCompletesImmediately(t *testing.T) {
 func TestRoundTripLedgerBalances(t *testing.T) {
 	eng, f, ids := newFabric(t, 3)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	f.RegisterAudits(reg)
+	f.Instrument(obs.Probe{Audit: reg})
 	served := 0
 	completions := 0
 	for i := 0; i < 8; i++ {
@@ -198,7 +199,7 @@ func TestInjectedTimeoutRetriesWithBackoff(t *testing.T) {
 func TestTimeoutRetryExhaustionForcesThrough(t *testing.T) {
 	eng, f, ids := newFabric(t, 2)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	f.RegisterAudits(reg)
+	f.Instrument(obs.Probe{Audit: reg})
 	f.InjectTimeout(ids[0], 100) // far beyond the retry budget
 	done := 0
 	f.Send(ids[0], ids[1], 128, func() { done++ })

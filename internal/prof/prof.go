@@ -368,9 +368,8 @@ func ClassName(class int) string {
 
 // Run bundles the collectors for one simulation run.
 type Run struct {
-	Label string
-	Net   *NetProf
-	Kern  *KernProf
+	Net  *NetProf
+	Kern *KernProf
 }
 
 // NewRun returns an empty collector set.

@@ -130,9 +130,9 @@ type Runtime struct {
 	assigned int64 // CTAs handed to GPUs across all launches
 	aud      *audit.Registry
 
-	// Tracing state (inert unless AttachTracer ran): the runtime track
-	// carries kernel spans and steal instants; each GPU's track carries
-	// its CTA-chunk spans.
+	// Tracing state (inert unless Instrument attached a tracer): the
+	// runtime track carries kernel spans and steal instants; each GPU's
+	// track carries its CTA-chunk spans.
 	trace     obs.Track
 	gpuTrace  []obs.Track
 	launchAt  sim.Time
@@ -439,31 +439,61 @@ func (r *Runtime) watchTick() {
 	}
 }
 
-// AttachTracer creates the runtime's trace tracks: one for kernel-level
-// events and one per physical GPU for its CTA-chunk spans. Passing a nil
-// tracer leaves the runtime inert.
-func (r *Runtime) AttachTracer(t *obs.Tracer) {
-	if t == nil {
-		return
+// Instrument attaches the runtime to a run's collectors; a nil one leaves
+// that part of the runtime inert. Core instruments each GPU itself.
+//
+//   - Audit: the "ske" checker, plus the inline partition audit on every
+//     launch. Every launch's partitions cover [0, NumCTAs) exactly once,
+//     and the per-GPU execution counters always sum to the CTAs assigned
+//     so far — stealing moves CTAs between GPUs but must never create or
+//     lose one.
+//   - Trace: one track for kernel-level events and one per physical GPU
+//     for its CTA-chunk spans.
+//   - Prof: the compute-side profiler's per-kernel spans.
+func (r *Runtime) Instrument(p obs.Probe) {
+	if p.Audit != nil {
+		r.aud = p.Audit
+		p.Audit.Register("ske", func(report func(string)) {
+			var sum int64
+			for i := range r.Stats.PerGPU {
+				v := r.Stats.PerGPU[i].Value()
+				if v < 0 {
+					report(fmt.Sprintf("GPU %d CTA count negative: %d (over-steal)", i, v))
+				}
+				sum += v
+			}
+			if sum != r.assigned {
+				report(fmt.Sprintf("CTA conservation: per-GPU counts sum to %d, want %d assigned (steal bookkeeping leak)", sum, r.assigned))
+			}
+			owedSum := 0
+			for i, o := range r.owed {
+				if o < 0 {
+					report(fmt.Sprintf("GPU %d owes %d launch completions (negative)", i, o))
+				}
+				if o > 0 && r.dead[i] {
+					report(fmt.Sprintf("dead GPU %d still owes %d launch completions", i, o))
+				}
+				owedSum += o
+			}
+			if r.remaining != owedSum {
+				report(fmt.Sprintf("in-flight launch count %d != sum of per-GPU owed %d", r.remaining, owedSum))
+			}
+			if r.remaining == 0 && r.onDone != nil {
+				report("kernel completion callback stranded after all GPUs drained")
+			}
+		})
 	}
-	r.trace = t.NewTrack("ske")
-	r.gpuTrace = make([]obs.Track, len(r.gpus))
-	for g := range r.gpus {
-		r.gpuTrace[g] = t.NewTrack(fmt.Sprintf("ske/gpu%d", g))
+	if t := p.Trace; t != nil {
+		r.trace = t.NewTrack("ske")
+		r.gpuTrace = make([]obs.Track, len(r.gpus))
+		for g := range r.gpus {
+			r.gpuTrace[g] = t.NewTrack(fmt.Sprintf("ske/gpu%d", g))
+		}
+		r.chunkAt = make([]sim.Time, len(r.gpus))
+		r.chunkCTAs = make([]int, len(r.gpus))
 	}
-	r.chunkAt = make([]sim.Time, len(r.gpus))
-	r.chunkCTAs = make([]int, len(r.gpus))
-}
-
-// AttachProf attaches the compute-side profiler to the runtime and every
-// physical GPU. Strictly passive; nil leaves everything inert.
-func (r *Runtime) AttachProf(kp *prof.KernProf) {
-	if kp == nil {
-		return
-	}
-	r.kprof = kp
-	for _, g := range r.gpus {
-		g.AttachProf(kp)
+	if p.Prof != nil {
+		r.kprof = p.Prof.Kern
 	}
 }
 
@@ -482,44 +512,6 @@ func (r *Runtime) endChunk(g int) {
 		return
 	}
 	r.gpuTrace[g].Span(fmt.Sprintf("%d CTAs", r.chunkCTAs[g]), r.chunkAt[g], r.eng.Now())
-}
-
-// RegisterAudits attaches the runtime's CTA-conservation checkers to reg
-// and enables the inline partition audit on every launch. The invariants:
-// every launch's partitions cover [0, NumCTAs) exactly once, and the
-// per-GPU execution counters always sum to the CTAs assigned so far —
-// stealing moves CTAs between GPUs but must never create or lose one.
-func (r *Runtime) RegisterAudits(reg *audit.Registry) {
-	r.aud = reg
-	reg.Register("ske", func(report func(string)) {
-		var sum int64
-		for i := range r.Stats.PerGPU {
-			v := r.Stats.PerGPU[i].Value()
-			if v < 0 {
-				report(fmt.Sprintf("GPU %d CTA count negative: %d (over-steal)", i, v))
-			}
-			sum += v
-		}
-		if sum != r.assigned {
-			report(fmt.Sprintf("CTA conservation: per-GPU counts sum to %d, want %d assigned (steal bookkeeping leak)", sum, r.assigned))
-		}
-		owedSum := 0
-		for i, o := range r.owed {
-			if o < 0 {
-				report(fmt.Sprintf("GPU %d owes %d launch completions (negative)", i, o))
-			}
-			if o > 0 && r.dead[i] {
-				report(fmt.Sprintf("dead GPU %d still owes %d launch completions", i, o))
-			}
-			owedSum += o
-		}
-		if r.remaining != owedSum {
-			report(fmt.Sprintf("in-flight launch count %d != sum of per-GPU owed %d", r.remaining, owedSum))
-		}
-		if r.remaining == 0 && r.onDone != nil {
-			report("kernel completion callback stranded after all GPUs drained")
-		}
-	})
 }
 
 // auditAssign verifies a launch's partitions cover the CTA space exactly.

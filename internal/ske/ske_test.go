@@ -7,6 +7,7 @@ import (
 	"memnet/internal/audit"
 	"memnet/internal/gpu"
 	"memnet/internal/mem"
+	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
 
@@ -246,7 +247,7 @@ func TestStealChunkLargerThanVictimQueue(t *testing.T) {
 	cfg.StealChunk = 64 // far larger than any victim queue remnant
 	rt, _ := New(eng, cfg, gs)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	rt.RegisterAudits(reg)
+	rt.Instrument(obs.Probe{Audit: reg})
 	k := &kern{ctas: 256, ops: func(cta, warp int) []gpu.WarpOp {
 		n := 1
 		if cta >= 128 {
@@ -293,7 +294,7 @@ func TestStealRacingFinalCompletion(t *testing.T) {
 	cfg.StealChunk = 1
 	rt, _ := New(eng, cfg, gs)
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	rt.RegisterAudits(reg)
+	rt.Instrument(obs.Probe{Audit: reg})
 	k := &kern{ctas: 80, ops: func(cta, warp int) []gpu.WarpOp {
 		if cta < 40 {
 			return []gpu.WarpOp{{Compute: 1}} // GPU 0's chunk drains instantly
@@ -408,7 +409,7 @@ func TestGPUFailureWatchdogRequeuesAndConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
-	rt.RegisterAudits(reg)
+	rt.Instrument(obs.Probe{Audit: reg})
 	ran := make(map[int]int)
 	k := &kern{ctas: 64, ops: func(cta, warp int) []gpu.WarpOp {
 		if warp == 0 {
