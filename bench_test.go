@@ -11,18 +11,16 @@
 // Each figure's run matrix fans out over the internal/par worker pool
 // (width MEMNET_PAR, default: CPU count), so a -bench=. sweep uses every
 // core; reported simulation metrics are identical at any parallelism.
-// BenchmarkSweep* measure the harness itself: the same figure sequential
-// vs fanned out, so the wall-clock win of the pool is visible in ns/op.
+// The harness itself, the same figure sequential vs fanned out, is timed
+// by go test ./internal/bench -bench Sweep.
 package memnet_test
 
 import (
-	"runtime"
 	"testing"
 
 	"memnet"
 	"memnet/internal/core"
 	"memnet/internal/exp"
-	"memnet/internal/par"
 )
 
 // benchScale keeps every figure's bench affordable in one -bench=. sweep.
@@ -221,29 +219,6 @@ func BenchmarkCTASched(b *testing.B) {
 		b.ReportMetric(rrT/stT, "static-vs-rr-x")
 		b.ReportMetric(100*(stL2-rrL2)/n, "L2-hit-delta-pp")
 		b.ReportMetric(stT/stealT, "steal-vs-static-x")
-	}
-}
-
-// BenchmarkSweepSequential runs the Fig. 15 routing study with the worker
-// pool pinned to one worker — the seed repository's behavior.
-func BenchmarkSweepSequential(b *testing.B) {
-	benchSweep(b, 1)
-}
-
-// BenchmarkSweepParallel runs the same study fanned out across the CPUs;
-// the ns/op ratio to BenchmarkSweepSequential is the pool's wall-clock
-// speedup on this machine.
-func BenchmarkSweepParallel(b *testing.B) {
-	benchSweep(b, runtime.NumCPU())
-}
-
-func benchSweep(b *testing.B, width int) {
-	prev := par.SetParallelism(width)
-	defer par.SetParallelism(prev)
-	for i := 0; i < b.N; i++ {
-		if _, err := (exp.Env{}).Fig15(benchScale); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
