@@ -282,18 +282,18 @@ func TestParseDuration(t *testing.T) {
 // floats, so each needs an explicit rejection.
 func TestParseDurationRejectsDegenerate(t *testing.T) {
 	cases := map[string]string{
-		"NaNus":   "finite",
-		"nanms":   "finite",
-		"Infus":   "finite",
-		"+Infs":   "finite",
-		"-Infns":  "finite",
-		"0us":     "positive",
-		"0":       "positive",
-		"-1us":    "positive",
-		"-5":      "positive",
-		"-0.5ms":  "positive",
-		"1e30ns":  "overflows",
-		"1e100s":  "overflows",
+		"NaNus":                 "finite",
+		"nanms":                 "finite",
+		"Infus":                 "finite",
+		"+Infs":                 "finite",
+		"-Infns":                "finite",
+		"0us":                   "positive",
+		"0":                     "positive",
+		"-1us":                  "positive",
+		"-5":                    "positive",
+		"-0.5ms":                "positive",
+		"1e30ns":                "overflows",
+		"1e100s":                "overflows",
 		"9223372036854775807us": "overflows",
 	}
 	for in, wantSub := range cases {

@@ -68,9 +68,9 @@ func TestBadKeys(t *testing.T) {
 		"short",
 		strings.Repeat("a", 63),
 		strings.Repeat("a", 65),
-		strings.Repeat("A", 64),            // uppercase hex is not canonical
-		strings.Repeat("g", 64),            // not hex
-		"../" + strings.Repeat("a", 61),    // traversal
+		strings.Repeat("A", 64),         // uppercase hex is not canonical
+		strings.Repeat("g", 64),         // not hex
+		"../" + strings.Repeat("a", 61), // traversal
 		strings.Repeat("a", 32) + "/" + strings.Repeat("a", 31),
 	}
 	for _, key := range bad {
