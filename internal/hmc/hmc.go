@@ -259,7 +259,7 @@ type vault struct {
 	// inService counts requests popped from the queue whose completion
 	// event has not fired yet.
 	inService int
-	// trace is this vault's timeline (inert unless Instrument attached a tracer).
+	// trace is this vault's timeline (inert when tracing is off).
 	trace obs.Track
 }
 

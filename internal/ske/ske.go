@@ -130,9 +130,9 @@ type Runtime struct {
 	assigned int64 // CTAs handed to GPUs across all launches
 	aud      *audit.Registry
 
-	// Tracing state (inert unless Instrument attached a tracer): the
-	// runtime track carries kernel spans and steal instants; each GPU's
-	// track carries its CTA-chunk spans.
+	// Tracing state (inert when tracing is off): the runtime track
+	// carries kernel spans and steal instants; each GPU's track carries
+	// its CTA-chunk spans.
 	trace     obs.Track
 	gpuTrace  []obs.Track
 	launchAt  sim.Time
