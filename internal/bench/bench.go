@@ -5,13 +5,13 @@
 // committed JSON snapshots.
 //
 // The set deliberately spans the stack's altitudes: raw event-engine
-// throughput (EngineEvents, TypedEvents), the NoC flit hot loop in
-// isolation (FlitHop), under saturation (SaturatedNoC) and near idle
-// (LowLoadNoC), one cache (CacheAccess), one system build (NewSystem),
-// whole experiment sweeps (Fig07/Fig12/Fig16,
-// SweepSequential/SweepParallel), and the serving stack's request path
-// (ServeWarmCache) so a regression anywhere in the pipeline moves at
-// least one curve.
+// throughput (EngineEvents, TypedEvents) and a clocked component's edge
+// (TickerEvents), the NoC flit hot loop in isolation (FlitHop), under
+// saturation (SaturatedNoC) and near idle (LowLoadNoC), one cache
+// (CacheAccess), one system build (NewSystem), whole experiment sweeps
+// (Fig07/Fig12/Fig16, SweepSequential/SweepParallel), and the serving
+// stack's request path (ServeWarmCache) so a regression anywhere in the
+// pipeline moves at least one curve.
 package bench
 
 import (
@@ -47,6 +47,7 @@ func Short() []Fn {
 	return []Fn{
 		{"EngineEvents", EngineEvents},
 		{"TypedEvents", TypedEvents},
+		{"TickerEvents", TickerEvents},
 		{"FlitHop", FlitHop},
 		{"SaturatedNoC", SaturatedNoC},
 		{"LowLoadNoC", LowLoadNoC},
@@ -119,6 +120,31 @@ func TypedEvents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.AfterEvent(benchSpread(&r), nop, nil)
+		e.Step()
+	}
+}
+
+// tickerHeapDepth is the number of other events pending beside the
+// ticker in TickerEvents: about the engine's queue depth on a Fig. 14
+// design point.
+const tickerHeapDepth = 800
+
+// TickerEvents measures one clock edge of a ticker that works every
+// cycle, as the NoC's does under traffic, while tickerHeapDepth other
+// events stay pending beyond the run, in ns/event. EngineEvents and
+// TypedEvents schedule no ticker.
+func TickerEvents(b *testing.B) {
+	e := sim.NewEngine()
+	r := lcg(1)
+	nop := func(any) {}
+	for i := 0; i < tickerHeapDepth; i++ {
+		e.AtEvent(sim.Infinity/2+benchSpread(&r), nop, nil)
+	}
+	tk := sim.NewTicker(e, sim.NewClock(800), func() bool { return true })
+	tk.Wake()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

@@ -11,6 +11,7 @@ import "testing"
 
 func BenchmarkEngineEvents(b *testing.B)    { EngineEvents(b) }
 func BenchmarkTypedEvents(b *testing.B)     { TypedEvents(b) }
+func BenchmarkTickerEvents(b *testing.B)    { TickerEvents(b) }
 func BenchmarkFlitHop(b *testing.B)         { FlitHop(b) }
 func BenchmarkSaturatedNoC(b *testing.B)    { SaturatedNoC(b) }
 func BenchmarkLowLoadNoC(b *testing.B)      { LowLoadNoC(b) }
