@@ -25,8 +25,10 @@ import "fmt"
 //     exactly those holding work (a buffered flit; a non-empty FIFO, credit
 //     queue or hold queue; a packet to send), and the per-port and
 //     per-router occupancy counts behind the router set are exact.
-//   - Claims: each output port's claim count, and the router's eject
-//     count, equal the active input VCs allocated to it.
+//   - Pair sets: a router's waiting bit is set exactly on the inactive
+//     VCs that buffer a flit, its ejecting bit on the VCs allocated to
+//     ejection, and an output's claimant bit on the VCs allocated to
+//     that output; an output is in the claimed set iff it has one.
 func (n *Network) audit(report func(string)) {
 	n.auditFlitConservation(report)
 	n.auditPacketLedger(report)
@@ -288,30 +290,46 @@ func (n *Network) auditBusySets(report func(string)) {
 	}
 }
 
+// auditClaims checks the routers' pair sets against the VCs they
+// summarize: an allocator that trusted a stale or missing bit would grant
+// a pair the full walk skips, or skip one it grants.
 func (n *Network) auditClaims(report func(string)) {
+	nVCs := n.totalVCs()
 	for _, r := range n.routers {
-		eject := 0
-		claims := make([]int, len(r.out))
-		for _, p := range r.allPorts() {
+		ports := r.allPorts()
+		total := len(ports) * nVCs
+		for pi, p := range ports {
 			for vi := range p.vcs {
 				vc := &p.vcs[vi]
-				switch {
-				case !vc.active:
-				case vc.outPort == ejectPort:
-					eject++
-				default:
-					claims[vc.outPort]++
+				i := pi*nVCs + vi
+				if want := !vc.active && !vc.q.Empty(); r.waiting.has(i) != want {
+					report(fmt.Sprintf("router %d input %d vc %d: waiting bit %v, active=%v with %d flits",
+						r.id, pi, vi, !want, vc.active, vc.q.Len()))
+				}
+				if want := vc.active && vc.outPort == ejectPort; r.ejecting.has(i) != want {
+					report(fmt.Sprintf("router %d input %d vc %d: ejecting bit %v, active=%v toward port %d",
+						r.id, pi, vi, !want, vc.active, vc.outPort))
+				}
+				if vc.active && vc.outPort >= 0 && !r.out[vc.outPort].claimants.has(i) {
+					report(fmt.Sprintf("router %d input %d vc %d: allocated to port %d but not its claimant",
+						r.id, pi, vi, vc.outPort))
 				}
 			}
 		}
-		if eject != r.ejectClaims {
-			report(fmt.Sprintf("router %d: %d input VCs allocated to ejection, eject count %d",
-				r.id, eject, r.ejectClaims))
-		}
 		for oi, op := range r.out {
-			if claims[oi] != op.claims {
-				report(fmt.Sprintf("router %d port %d: %d input VCs allocated, claim count %d",
-					r.id, oi, claims[oi], op.claims))
+			for i := op.claimants.next(0); i >= 0; i = op.claimants.next(i + 1) {
+				if i >= total {
+					report(fmt.Sprintf("router %d port %d: claimant bit %d beyond its %d pairs", r.id, oi, i, total))
+					break
+				}
+				if vc := &ports[i/nVCs].vcs[i%nVCs]; !vc.active || vc.outPort != oi {
+					report(fmt.Sprintf("router %d port %d: claimant input %d vc %d is not allocated to it",
+						r.id, oi, i/nVCs, i%nVCs))
+				}
+			}
+			if r.claimed.has(oi) == op.claimants.empty() {
+				report(fmt.Sprintf("router %d port %d: claimed bit %v with claimants empty=%v",
+					r.id, oi, r.claimed.has(oi), op.claimants.empty()))
 			}
 		}
 	}

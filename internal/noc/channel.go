@@ -135,7 +135,7 @@ func (c *Channel) deliver(n *Network) {
 		if c.srcRouter >= 0 {
 			n.routers[c.srcRouter].out[c.srcPort].credits[cr.vc]++
 		} else if c.srcTerm >= 0 {
-			n.terminals[c.srcTerm].ports[c.srcPortOnTerm(n)].credits[cr.vc]++
+			n.terminals[c.srcTerm].ports[c.srcPort].credits[cr.vc]++
 		}
 	}
 	for !c.fifo.Empty() && c.fifo.Front().arrive <= n.cycle {
@@ -171,22 +171,6 @@ func (c *Channel) deliver(n *Network) {
 		}
 		n.routers[c.dstRouter].receive(n, c.dstPort, it)
 	}
-}
-
-// srcPortOnTerm finds the terminal port index that uses this channel for
-// injection. Channels cache it after first lookup via srcPort.
-func (c *Channel) srcPortOnTerm(n *Network) int {
-	if c.srcPort >= 0 {
-		return c.srcPort
-	}
-	t := n.terminals[c.srcTerm]
-	for i, p := range t.ports {
-		if p.toRouter == c {
-			c.srcPort = i
-			return i
-		}
-	}
-	panic("noc: channel source terminal port not found")
 }
 
 // tryExpress forwards a pass-through flit along the overlay chain if the

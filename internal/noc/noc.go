@@ -408,8 +408,9 @@ func (n *Network) NumRouterChannels() int {
 	return k
 }
 
-// Finalize computes routing tables and allocates statistics and the busy
-// sets. Must be called after topology construction and before any traffic.
+// Finalize computes routing tables and allocates statistics, the busy
+// sets and the routers' pair sets. Must be called after topology
+// construction and before any traffic.
 func (n *Network) Finalize() error {
 	if n.RouterSink == nil {
 		n.RouterSink = func(int, *Packet) {}
@@ -423,9 +424,7 @@ func (n *Network) Finalize() error {
 	// partition (see fault.go).
 	n.baseReach = n.reachNow(rt)
 	n.Stats.Traffic = stats.NewMatrix(len(n.terminals), len(n.routers))
-	n.busyRouters = newBusySet(len(n.routers))
-	n.busyChannels = newBusySet(len(n.channels))
-	n.busyTerminals = newBusySet(len(n.terminals))
+	n.allocBitsets()
 	return nil
 }
 

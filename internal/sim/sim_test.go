@@ -143,6 +143,25 @@ func TestAuditInvariantsDetectsCorruption(t *testing.T) {
 	if err := e.AuditInvariants(); err == nil {
 		t.Fatal("audit missed a corrupted heap")
 	}
+
+	// A ticker edge in the engine's slot that lies before now.
+	e = NewEngine()
+	NewTicker(e, NewClock(10), func() bool { return false }).Wake()
+	e.At(5, func() {})
+	e.Step()
+	if err := e.AuditInvariants(); err != nil {
+		t.Fatalf("healthy pending edge failed audit: %v", err)
+	}
+	e.edge.at = 3
+	if err := e.AuditInvariants(); err == nil || !strings.Contains(err.Error(), "ticker edge") {
+		t.Fatalf("audit missed an edge before now: %v", err)
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "time moved backwards") {
+			t.Fatalf("Step ran an edge before now without the backwards-time panic (recovered %q)", r)
+		}
+	}()
+	e.Step()
 }
 
 func TestRunUntil(t *testing.T) {
@@ -164,6 +183,26 @@ func TestRunUntil(t *testing.T) {
 	e.RunUntil(25) // no events in (20,25]
 	if e.Now() != 25 {
 		t.Fatalf("Now() after empty RunUntil = %d, want 25", e.Now())
+	}
+
+	// A ticker edge pending in the engine's slot counts and waits its turn.
+	ticks := 0
+	NewTicker(e, NewClock(40), func() bool { ticks++; return ticks < 2 }).Wake()
+	if e.Pending() != 2 {
+		t.Fatalf("Pending() with an edge at 40 = %d, want 2", e.Pending())
+	}
+	e.RunUntil(39)
+	if ran != 3 || ticks != 0 || e.Now() != 39 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(39): ran %d, ticks %d, now %d, pending %d; want 3, 0, 39, 1",
+			ran, ticks, e.Now(), e.Pending())
+	}
+	e.RunUntil(40)
+	if ticks != 1 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(40): ticks %d, pending %d; want 1 and the re-armed edge", ticks, e.Pending())
+	}
+	e.Run()
+	if ticks != 2 || e.Now() != 80 || e.Pending() != 0 {
+		t.Fatalf("Run: ticks %d, now %d, pending %d; want 2, 80, 0", ticks, e.Now(), e.Pending())
 	}
 }
 

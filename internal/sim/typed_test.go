@@ -1,27 +1,39 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// TestTypedAndClosureEventsShareOneOrder verifies AtEvent and At interleave
-// in scheduling order at equal timestamps.
+// TestTypedAndClosureEventsShareOneOrder verifies AtEvent, At and ticker
+// edges interleave in scheduling order at equal timestamps. Ticker t1 holds
+// the engine's edge slot; t2, woken while the slot is taken, uses the heap.
+// Both re-arm from their edge at 10 for the edge at 20.
 func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	record := func(a any) { got = append(got, *a.(*int)) }
-	v1, v3 := 1, 3
-	e.AtEvent(10, record, &v1)
-	e.At(10, func() { got = append(got, 2) })
-	e.AtEvent(10, record, &v3)
-	e.At(5, func() { got = append(got, 0) })
-	e.Run()
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	var got []string
+	note := func(s string) { got = append(got, s) }
+	record := func(a any) { note(*a.(*string)) }
+	tick := func(name string) func() bool {
+		n := 0
+		return func() bool { note(name); n++; return n < 2 }
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	t1 := NewTicker(e, NewClock(10), tick("t1"))
+	t2 := NewTicker(e, NewClock(10), tick("t2"))
+	a, c := "a", "c"
+	e.AtEvent(10, record, &a)
+	t1.Wake()
+	e.At(10, func() { note("b"); e.At(20, func() { note("d") }) })
+	t2.Wake()
+	e.AtEvent(10, record, &c)
+	e.At(5, func() { note("first") })
+	if e.Pending() != 6 || len(e.events) != 5 || e.edge.arg != t1 {
+		t.Fatalf("Pending() = %d with %d in the heap; want 6, t1 in the slot and the rest in the heap",
+			e.Pending(), len(e.events))
+	}
+	e.Run()
+	if got, want := strings.Join(got, " "), "first a t1 b t2 c t1 d t2"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
 	}
 }
 
