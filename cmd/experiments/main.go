@@ -122,6 +122,10 @@ func main() {
 	if err := params.Validate(); err != nil {
 		fatal(err)
 	}
+	exps, err := selectExperiments(*which)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -135,23 +139,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	// fig16 and fig17 share the same runs and table.
-	if want["fig17"] {
-		want["fig16"] = true
-	}
-	all := want["all"]
-
-	ran := 0
 	sweepStart := time.Now()
 	sweepBusy := par.BusyTime()
-	for _, e := range exp.Experiments() {
-		if !all && !want[e.Name] {
-			continue
-		}
+	for _, e := range exps {
 		start := time.Now()
 		busy := par.BusyTime()
 		out, err := e.Run(params)
@@ -162,12 +152,8 @@ func main() {
 		if !*quiet {
 			report(e.Name, time.Since(start), par.BusyTime()-busy)
 		}
-		ran++
 	}
-	if ran == 0 {
-		fatal(fmt.Errorf("unknown experiment %q", *which))
-	}
-	if !*quiet && ran > 1 {
+	if !*quiet && len(exps) > 1 {
 		report("total", time.Since(sweepStart), par.BusyTime()-sweepBusy)
 	}
 
@@ -188,6 +174,34 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// selectExperiments resolves a comma-separated -exp list to registry
+// entries, in registry order and each at most once. "all" selects every
+// experiment, exp.Find resolves aliases (fig17 runs fig16), and an unknown
+// name is an error that lists the known ones.
+func selectExperiments(list string) ([]exp.Experiment, error) {
+	all := false
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			all = true
+			continue
+		}
+		e, ok := exp.Find(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(exp.Names(), ", "))
+		}
+		want[e.Name] = true
+	}
+	var out []exp.Experiment
+	for _, e := range exp.Experiments() {
+		if all || want[e.Name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // summarizeProfiles writes a one-page human-readable summary next to

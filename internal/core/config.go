@@ -139,16 +139,13 @@ type Config struct {
 	// (openable in ui.perfetto.dev). Like auditing, tracing is passive:
 	// it schedules no events and results are byte-identical either way.
 	TraceOut string
-	// Profile attaches the latency-attribution profiler (package prof):
-	// per-packet latency decomposed into named stages, per-router/VC
-	// congestion heat, and per-kernel compute breakdowns. Like tracing it
-	// is passive — the profiler schedules no events and results are
-	// byte-identical with it on or off. The collected profile is exposed
-	// through System.Profile after the run.
-	Profile bool
-	// ProfileOut, when non-empty, enables profiling (as Profile does) and
-	// additionally writes the profile to this file as JSON (schema
-	// "memnet-prof/v1", readable by cmd/memnetprof).
+	// ProfileOut, when non-empty, attaches the latency-attribution
+	// profiler (package prof): per-packet latency decomposed into named
+	// stages, per-router/VC congestion heat, and per-kernel compute
+	// breakdowns. Like tracing it is passive — the profiler schedules no
+	// events and results are byte-identical with it on or off. The profile
+	// is written to this file as JSON (schema "memnet-prof/v1", readable
+	// by cmd/memnetprof) and exposed through System.Profile after the run.
 	ProfileOut string
 	// MetricsOut, when non-empty, writes windowed metrics to this file:
 	// one row per MetricsEpoch of simulated time, CSV by default or JSON

@@ -13,7 +13,7 @@ import (
 func TestProfOnMatchesOff(t *testing.T) {
 	for _, arch := range []Arch{PCIe, UMN} {
 		cfgOn := tiny(arch, "BP")
-		cfgOn.Profile = true
+		cfgOn.ProfileOut = filepath.Join(t.TempDir(), "on.profile.json")
 		sysOn, err := NewSystem(cfgOn)
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestProfOnMatchesOff(t *testing.T) {
 func TestProfileContents(t *testing.T) {
 	cfg := tiny(UMN, "CG.S")
 	cfg.Overlay = true
-	cfg.Profile = true
+	cfg.ProfileOut = filepath.Join(t.TempDir(), "cg.profile.json")
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -327,27 +327,6 @@ func (s *System) memcpy(h2d bool, done func()) {
 		s.eng.After(0, done)
 		return
 	}
-	// DMA writes invalidate host-cached lines (MOESI InvalidateAll); the
-	// shootdown cost is folded into the DMA latency below at page
-	// granularity.
-	var dirtyPages int64
-	if h2d {
-		for _, spec := range s.w.Buffers() {
-			if !spec.HostInit {
-				continue
-			}
-			buf := s.binding[spec.Name]
-			pb := uint64(s.space.Mapping().PageBytes())
-			for off := uint64(0); off < buf.Size; off += pb {
-				act := s.dir.InvalidateAll(buf.Base + mem.Addr(off))
-				if act.WroteBack {
-					dirtyPages++
-				}
-			}
-		}
-	}
-	shootdown := sim.Time(dirtyPages) * 20 * sim.Nanosecond
-
 	// Walk clusters in ascending order, never in map order: the PCIe
 	// transfers' trace spans and the CMN float sum below must not depend
 	// on map iteration.
@@ -363,7 +342,9 @@ func (s *System) memcpy(h2d bool, done func()) {
 		finish := func() {
 			remaining--
 			if remaining == 0 {
-				s.eng.After(shootdown, done)
+				// A fresh event, not an inline call: the phase
+				// boundary keeps its place in the event order.
+				s.eng.After(0, done)
 			}
 		}
 		// The phase time is order-independent (all transfers serialize on
@@ -386,7 +367,7 @@ func (s *System) memcpy(h2d bool, done func()) {
 	for _, c := range clusters {
 		total += float64(byCluster[c]) / perGPU
 	}
-	dur := sim.Time(total*1e12) + 2*sim.Microsecond + shootdown
+	dur := sim.Time(total*1e12) + 2*sim.Microsecond
 	s.eng.After(dur, done)
 }
 

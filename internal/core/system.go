@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"memnet/internal/audit"
-	"memnet/internal/coherence"
 	"memnet/internal/cpu"
 	"memnet/internal/gpu"
 	"memnet/internal/hmc"
@@ -16,12 +15,6 @@ import (
 	"memnet/internal/sim"
 	"memnet/internal/ske"
 	"memnet/internal/workload"
-)
-
-// Coherence agents at the host memory controller.
-const (
-	agentCPU = 0
-	agentDMA = 1
 )
 
 // System is one fully wired simulated machine.
@@ -44,8 +37,6 @@ type System struct {
 
 	fabric *pcie.Fabric
 	ep     []int // PCIe endpoint per cluster owner
-
-	dir *coherence.Directory
 
 	// probe holds the run's collectors, each nil unless the config turns
 	// it on (see instrument). Audit checks run at phase boundaries, where
@@ -174,8 +165,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.rt = rt
 
-	s.dir = coherence.NewDirectory(2)
-
 	// Memory space and buffer placement.
 	mapping, err := mem.NewMapping(cfg.memConfig())
 	if err != nil {
@@ -215,7 +204,7 @@ func (s *System) instrument() {
 		// requested, its windows still feed the trace's counter tracks.
 		p.Metrics = obs.NewSampler(s.cfg.MetricsEpoch)
 	}
-	if s.cfg.Profile || s.cfg.ProfileOut != "" {
+	if s.cfg.ProfileOut != "" {
 		p.Prof = prof.NewRun()
 	}
 	s.probe = p
@@ -602,14 +591,6 @@ func (p *cpuPort) Access(va mem.Addr, write bool, done func()) {
 		// the data (the copy the explicit memcpy transfers from): shadow
 		// the location into the CPU's cluster.
 		loc.Cluster = cpuC
-	}
-	// Track host-side coherence at the directory (Table I's MOESI
-	// directory protocol; the DMA engine is the other agent).
-	line := va &^ mem.Addr(s.cfg.CPU.L1.LineBytes-1)
-	if write {
-		s.dir.Write(agentCPU, line)
-	} else {
-		s.dir.Read(agentCPU, line)
 	}
 	pass := s.cfg.Overlay && s.cfg.Arch == UMN
 	s.netAccess(cpuC, loc, write, false, s.cpuLineFlits, pass, done)

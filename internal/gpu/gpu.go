@@ -39,24 +39,11 @@ const (
 
 // WarpOp is one warp-wide instruction: Compute pipeline cycles, then an
 // optional memory operation on the given coalesced cache-line addresses
-// (virtual). A pure compute op has Kind OpCompute and no Addrs. An op may
-// additionally carry a Spawn: a device-side child-grid launch (dynamic
-// parallelism, the second SKE extension Section III of the paper names as
-// future work).
+// (virtual). A pure compute op has Kind OpCompute and no Addrs.
 type WarpOp struct {
 	Compute int
 	Kind    OpKind
 	Addrs   []mem.Addr
-	Spawn   *Spawn
-}
-
-// Spawn is a device-side kernel launch. The child grid executes on the
-// same GPU as the spawning warp (no host round trip, no page-table sync),
-// and per CUDA semantics the parent kernel does not complete until all of
-// its children have.
-type Spawn struct {
-	Kernel Kernel
-	CTAs   []int
 }
 
 // WarpTrace yields a warp's instruction stream.
@@ -141,18 +128,20 @@ type Stats struct {
 	MemLatency stats.Mean // below-L2 round trip (ps)
 }
 
-// launchCtx is one in-flight kernel launch. The GPU supports several
-// concurrent contexts (concurrent kernel execution, the Fermi feature the
-// paper's Section III names as an SKE extension): their CTAs space-share
-// the SMs under the per-SM CTA and thread limits.
+// launchCtx is one in-flight kernel launch. A GPU can hold several at
+// once, because SKE launches onto a device that is still busy in three
+// cases: ReclaimGPU re-queues a dead GPU's chunks onto survivors still
+// running their own, Launch hands a partition to a survivor when its
+// target dies during page-table sync, and stealing relaunches a GPU
+// before its old context is reaped. The contexts' CTAs space-share the
+// SMs under the per-SM CTA and thread limits.
 type launchCtx struct {
-	kernel       Kernel
-	pending      []int
-	activeCTAs   int
-	activeIDs    []int // CTA indices currently resident on SMs
-	memInFlight  int64
-	childrenLive int
-	onDone       func()
+	kernel      Kernel
+	pending     []int
+	activeCTAs  int
+	activeIDs   []int // CTA indices currently resident on SMs
+	memInFlight int64
+	onDone      func()
 
 	// krec is this launch's (kernel, GPU) attribution record, resolved
 	// once at Launch so the per-instruction hot path costs one pointer
@@ -161,7 +150,7 @@ type launchCtx struct {
 }
 
 func (c *launchCtx) busy() bool {
-	return c.activeCTAs > 0 || len(c.pending) > 0 || c.memInFlight > 0 || c.childrenLive > 0
+	return c.activeCTAs > 0 || len(c.pending) > 0 || c.memInFlight > 0
 }
 
 // GPU is one device.
@@ -465,9 +454,6 @@ func (g *GPU) Instrument(p obs.Probe) {
 				if c.memInFlight < 0 {
 					report(fmt.Sprintf("context %d has %d memory ops in flight", i, c.memInFlight))
 				}
-				if c.childrenLive < 0 {
-					report(fmt.Sprintf("context %d has %d live children", i, c.childrenLive))
-				}
 				queued += int64(len(c.pending))
 				active += int64(c.activeCTAs)
 			}
@@ -507,19 +493,6 @@ func (g *GPU) maybeDone(ctx *launchCtx) {
 		ctx.onDone = nil
 		done()
 	}
-}
-
-// spawnChild performs a device-side launch of a child grid on this GPU,
-// tying the parent context's completion to the child's.
-func (g *GPU) spawnChild(parent *launchCtx, sp *Spawn) {
-	if g.failed {
-		return
-	}
-	parent.childrenLive++
-	g.Launch(sp.Kernel, sp.CTAs, func() {
-		parent.childrenLive--
-		g.maybeDone(parent)
-	})
 }
 
 // warpsPerCTA returns the warp count for a kernel's CTA shape.

@@ -275,6 +275,62 @@ func TestStealCTAs(t *testing.T) {
 	}
 }
 
+// TestConcurrentKernelsShareSMs launches two kernels on one GPU at once, as
+// SKE does when it relaunches onto a survivor still running its own chunk.
+// Together they need two waves of the 32 CTA slots. Round-robin SM filling
+// gives each kernel half of every wave, so both finish together; filling
+// from the first context would finish the second kernel a wave later.
+func TestConcurrentKernelsShareSMs(t *testing.T) {
+	eng := sim.NewEngine()
+	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng, delay: 200 * sim.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ctas = 32 // per kernel: one full wave of 4 SMs x 8 CTAs
+	var runs [2][ctas]int
+	kernel := func(k int) *testKernel {
+		return &testKernel{name: "share", ctas: ctas, threads: 64,
+			gen: func(cta, warp int) []WarpOp {
+				if warp == 0 {
+					runs[k][cta]++
+				}
+				ops := make([]WarpOp, 64)
+				for i := range ops {
+					ops[i] = WarpOp{Compute: 4, Kind: OpLoad,
+						Addrs: []mem.Addr{mem.Addr(k<<24 + cta*65536 + i*128)}}
+				}
+				return ops
+			}}
+	}
+	all := make([]int, ctas)
+	for i := range all {
+		all[i] = i
+	}
+	var doneAt [2]sim.Time
+	for k := range doneAt {
+		g.Launch(kernel(k), all, func() { doneAt[k] = eng.Now() })
+	}
+	eng.Run()
+	if doneAt[0] == 0 || doneAt[1] == 0 {
+		t.Fatalf("kernels incomplete: done at %v", doneAt)
+	}
+	for k := range runs {
+		for cta, n := range runs[k] {
+			if n != 1 {
+				t.Fatalf("kernel %d CTA %d ran %d times, want 1", k, cta, n)
+			}
+		}
+	}
+	if g.Stats.CTAs.Value() != 2*ctas {
+		t.Fatalf("CTAs = %d, want %d", g.Stats.CTAs.Value(), 2*ctas)
+	}
+	// Serialized filling puts the second completion near 2x the first.
+	lo, hi := min(doneAt[0], doneAt[1]), max(doneAt[0], doneAt[1])
+	if 4*hi > 5*lo {
+		t.Fatalf("concurrent kernels serialized: done at %d and %d", doneAt[0], doneAt[1])
+	}
+}
+
 func TestEmptyLaunchCompletes(t *testing.T) {
 	eng := sim.NewEngine()
 	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng})

@@ -106,13 +106,6 @@ func (w *warpState) step() {
 	}
 	s.issueFree = slot + g.coreClk.Period()/sim.Time(g.cfg.IssuePerCycle)
 	ready := slot + g.coreClk.Cycles(int64(op.Compute))
-	if op.Spawn != nil {
-		// Device-side child-grid launch (dynamic parallelism): takes
-		// effect when the instruction completes; the warp continues.
-		sp := op.Spawn
-		ctx := w.cta.ctx
-		g.eng.At(ready, func() { g.spawnChild(ctx, sp) })
-	}
 	if op.Kind == OpCompute || len(op.Addrs) == 0 {
 		g.eng.AtEvent(ready, warpStep, w)
 		return

@@ -79,7 +79,6 @@ type Request struct {
 	Done func(*Request)
 
 	arrive sim.Time
-	seq    uint64
 }
 
 // Stats aggregates per-HMC measurements.
@@ -103,7 +102,6 @@ type HMC struct {
 	eng    *sim.Engine
 	cfg    Config
 	vaults []*vault
-	seq    uint64
 
 	// completed counts requests whose Done fired; the audit balances it
 	// against submissions and requests still queued or in service.
@@ -143,8 +141,6 @@ func (h *HMC) Submit(req *Request) bool {
 		h.Stats.Rejected.Inc()
 		return false
 	}
-	h.seq++
-	req.seq = h.seq
 	req.arrive = h.eng.Now()
 	if req.Atomic {
 		h.Stats.Atomics.Inc()

@@ -340,25 +340,6 @@ func (s *Space) Alloc(name string, size uint64, place Placement) (Buffer, error)
 	return buf, nil
 }
 
-// Remap rebinds every page of buf to frames chosen by place. It models the
-// page migration performed when data is copied between memories under the
-// same virtual address (explicit memcpy re-placement is modeled at the
-// system level; Remap supports tests and zero-copy setups).
-func (s *Space) Remap(buf Buffer, place Placement) error {
-	pb := uint64(s.m.cfg.PageBytes)
-	npages := (buf.Size + pb - 1) / pb
-	for p := uint64(0); p < npages; p++ {
-		cluster := place.NextCluster()
-		if cluster < 0 || cluster >= s.m.cfg.Clusters {
-			return fmt.Errorf("mem: placement chose cluster %d of %d", cluster, s.m.cfg.Clusters)
-		}
-		frame := s.m.ComposeFrame(cluster, s.frameNext[cluster])
-		s.frameNext[cluster]++
-		s.pages[buf.Base+Addr(p*pb)] = frame
-	}
-	return nil
-}
-
 // Translate converts a virtual address to a physical address.
 func (s *Space) Translate(va Addr) (Addr, bool) {
 	pb := Addr(s.m.cfg.PageBytes)

@@ -201,20 +201,6 @@ func TestDistinctFramesWithinCluster(t *testing.T) {
 	}
 }
 
-func TestRemapMovesPages(t *testing.T) {
-	m := mustMapping(t, DefaultConfig())
-	s := NewSpace(m)
-	buf, _ := s.Alloc("x", 8*4096, PlaceLocal{Cluster: 0})
-	if err := s.Remap(buf, PlaceLocal{Cluster: 3}); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 8; p++ {
-		if c := s.LocOf(buf.Base + Addr(p*4096)).Cluster; c != 3 {
-			t.Fatalf("page %d in cluster %d after remap, want 3", p, c)
-		}
-	}
-}
-
 func TestHMCFlatIndex(t *testing.T) {
 	l := Loc{Cluster: 2, Local: 3}
 	if l.HMC(4) != 11 {

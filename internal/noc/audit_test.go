@@ -34,7 +34,7 @@ func TestNetworkAuditCleanTraffic(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 500; i++ {
 			src := rng.Intn(4)
-			req := NewRequest(0, b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
+			req := b.Net.NewRequest(b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
 			req.PassThrough = overlay && src == 0
 			at := sim.Time(rng.Intn(1500)) * sim.Nanosecond
 			eng.At(at, func() { b.Net.Send(req) })
@@ -162,7 +162,7 @@ func TestNetworkAuditDetectsClearedBusyBits(t *testing.T) {
 	eng.At(sim.Nanosecond, func() {
 		for src := range b.Terms {
 			for i := 0; i < 100; i++ {
-				n.Send(NewRequest(0, b.Terms[src], (7*src+i)%n.NumRouters(), 9))
+				n.Send(n.NewRequest(b.Terms[src], (7*src+i)%n.NumRouters(), 9))
 			}
 		}
 	})

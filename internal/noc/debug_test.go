@@ -15,7 +15,7 @@ func TestDumpStateMidFlight(t *testing.T) {
 	n := b.Net
 	newEcho(b, 4)
 
-	n.Send(NewRequest(0, b.Terms[0], b.Routers[1][0], 5))
+	n.Send(n.NewRequest(b.Terms[0], b.Routers[1][0], 5))
 	for n.flitsInjected == n.flitsRetired {
 		if !eng.Step() {
 			t.Fatal("network drained before any flit was in flight")

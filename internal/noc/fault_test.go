@@ -44,7 +44,7 @@ func TestTransientRetransmission(t *testing.T) {
 		src := rng.Intn(4)
 		dst := rng.Intn(b.Net.NumRouters())
 		at := sim.Time(rng.Intn(2000)) * sim.Nanosecond
-		eng.At(at, func() { b.Net.Send(NewRequest(0, b.Terms[src], dst, 1)) })
+		eng.At(at, func() { b.Net.Send(b.Net.NewRequest(b.Terms[src], dst, 1)) })
 	}
 	eng.Run()
 	if !b.Net.Quiescent() {
@@ -69,7 +69,7 @@ func TestRetransmissionDelaysDelivery(t *testing.T) {
 			// attach before router-router links are connected).
 			b.Net.InjectTransient(0, 1)
 		}
-		b.Net.Send(NewRequest(0, b.Terms[0], b.RouterID(0, 0), 1))
+		b.Net.Send(b.Net.NewRequest(b.Terms[0], b.RouterID(0, 0), 1))
 		return eng.Run()
 	}
 	clean, faulty := run(false), run(true)
@@ -91,7 +91,7 @@ func TestRetryExhaustion(t *testing.T) {
 	h := newEcho(b, 1)
 	auditClean(t, eng, b.Net)
 	b.Net.InjectTransient(0, 100) // far beyond the 2-retry budget
-	b.Net.Send(NewRequest(0, b.Terms[0], b.RouterID(0, 0), 1))
+	b.Net.Send(b.Net.NewRequest(b.Terms[0], b.RouterID(0, 0), 1))
 	eng.Run()
 	if h.responses != 1 {
 		t.Fatalf("packet lost under retry exhaustion: %d responses", h.responses)
@@ -137,7 +137,7 @@ func TestFailChannelReroutes(t *testing.T) {
 		src := rng.Intn(4)
 		dst := rng.Intn(b.Net.NumRouters())
 		at := sim.Time(rng.Intn(2000)) * sim.Nanosecond
-		eng.At(at, func() { b.Net.Send(NewRequest(0, b.Terms[src], dst, 1)) })
+		eng.At(at, func() { b.Net.Send(b.Net.NewRequest(b.Terms[src], dst, 1)) })
 	}
 	eng.Run()
 	if h.responses != packets {
@@ -240,7 +240,7 @@ func TestUGALWithFailedLinks(t *testing.T) {
 		src := rng.Intn(4)
 		dst := rng.Intn(b.Net.NumRouters())
 		at := sim.Time(rng.Intn(2000)) * sim.Nanosecond
-		eng.At(at, func() { b.Net.Send(NewRequest(0, b.Terms[src], dst, 1)) })
+		eng.At(at, func() { b.Net.Send(b.Net.NewRequest(b.Terms[src], dst, 1)) })
 	}
 	eng.Run()
 	if h.responses != packets {

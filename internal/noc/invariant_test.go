@@ -27,7 +27,7 @@ func TestCreditConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < 600; i++ {
 			src := rng.Intn(4)
-			req := NewRequest(0, b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
+			req := b.Net.NewRequest(b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
 			req.PassThrough = overlay && src == 0
 			at := sim.Time(rng.Intn(1500)) * sim.Nanosecond
 			eng.At(at, func() { b.Net.Send(req) })

@@ -118,25 +118,11 @@ type Packet struct {
 	prof *prof.PktRec
 }
 
-// NewRequest returns a request packet from terminal t to router (HMC) r.
-func NewRequest(id uint64, t, r, sizeFlits int) *Packet {
-	return &Packet{ID: id, Class: ClassRequest, SrcTerm: t, SrcRouter: -1,
-		DstTerm: -1, DstRouter: r, Size: sizeFlits, Inter: -1}
-}
-
-// NewResponse returns a response packet from router (HMC) r to terminal t.
-func NewResponse(id uint64, r, t, sizeFlits int) *Packet {
-	return &Packet{ID: id, Class: ClassResponse, SrcTerm: -1, SrcRouter: r,
-		DstTerm: t, DstRouter: -1, Size: sizeFlits, Inter: -1}
-}
-
 // NewPacket returns a blank packet in the reset state (no source, no
 // destination, minimal routing, zero timestamps and hop counters), drawn
 // from the network's free list unless pooling is disabled. Callers fill in
 // class, endpoints and size before Send. Together with Release this is the
-// allocation-free path for steady-state traffic; the package-level
-// NewRequest/NewResponse constructors remain for callers that manage
-// packet lifetime themselves.
+// allocation-free path for steady-state traffic.
 func (n *Network) NewPacket() *Packet {
 	p := n.pktPool.Get()
 	*p = Packet{SrcTerm: -1, SrcRouter: -1, DstTerm: -1, DstRouter: -1, Inter: -1}

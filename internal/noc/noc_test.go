@@ -35,7 +35,7 @@ func newEcho(b *Built, respSize int) *echoHarness {
 	b.Net.RouterSink = func(r int, pkt *Packet) {
 		h.reqsSeen++
 		if pkt.Class == ClassRequest {
-			resp := NewResponse(0, r, pkt.SrcTerm, h.respSize)
+			resp := h.net.NewResponse(r, pkt.SrcTerm, h.respSize)
 			resp.PassThrough = pkt.PassThrough
 			h.net.Send(resp)
 		}
@@ -133,7 +133,7 @@ func TestDFBFLYIntraClusterConnected(t *testing.T) {
 func TestStarDeliveryRoundTrip(t *testing.T) {
 	eng, b := build(t, spec4x4(TopoStar))
 	h := newEcho(b, 9)
-	req := NewRequest(0, b.Terms[0], b.RouterID(0, 1), 1)
+	req := b.Net.NewRequest(b.Terms[0], b.RouterID(0, 1), 1)
 	b.Net.Send(req)
 	eng.Run()
 	if h.reqsSeen != 1 || h.responses != 1 {
@@ -150,7 +150,7 @@ func TestStarDeliveryRoundTrip(t *testing.T) {
 func TestSFBFLYRemoteDelivery(t *testing.T) {
 	eng, b := build(t, spec4x4(TopoSFBFLY))
 	h := newEcho(b, 9)
-	req := NewRequest(0, b.Terms[0], b.RouterID(3, 2), 1)
+	req := b.Net.NewRequest(b.Terms[0], b.RouterID(3, 2), 1)
 	b.Net.Send(req)
 	eng.Run()
 	if h.responses != 1 {
@@ -167,7 +167,7 @@ func TestSFBFLYRemoteDelivery(t *testing.T) {
 func TestRingMultiHop(t *testing.T) {
 	eng, b := build(t, spec4x4(TopoRing))
 	newEcho(b, 1)
-	req := NewRequest(0, b.Terms[0], b.RouterID(2, 0), 1)
+	req := b.Net.NewRequest(b.Terms[0], b.RouterID(2, 0), 1)
 	b.Net.Send(req)
 	eng.Run()
 	if req.Hops < 2 {
@@ -195,7 +195,7 @@ func randomTraffic(t *testing.T, kind TopoKind, packets int, ugal, adaptive bool
 			size = 9 // write request carrying a 128 B line
 		}
 		at := sim.Time(rng.Intn(2000)) * sim.Nanosecond
-		eng.At(at, func() { b.Net.Send(NewRequest(0, b.Terms[src], dst, size)) })
+		eng.At(at, func() { b.Net.Send(b.Net.NewRequest(b.Terms[src], dst, size)) })
 	}
 	eng.Run()
 	return b, h, eng.Now()
@@ -244,7 +244,7 @@ func TestHeavyLoadConservation(t *testing.T) {
 	h := newEcho(b, 9)
 	for src := 0; src < 4; src++ {
 		for i := 0; i < 200; i++ {
-			b.Net.Send(NewRequest(0, b.Terms[src], b.RouterID((src+1)%4, 0), 9))
+			b.Net.Send(b.Net.NewRequest(b.Terms[src], b.RouterID((src+1)%4, 0), 9))
 		}
 	}
 	eng.Run()
@@ -259,7 +259,7 @@ func TestHeavyLoadConservation(t *testing.T) {
 func TestTrafficMatrixRecordsRequests(t *testing.T) {
 	eng, b := build(t, spec4x4(TopoSFBFLY))
 	newEcho(b, 1)
-	b.Net.Send(NewRequest(0, b.Terms[2], b.RouterID(1, 1), 9))
+	b.Net.Send(b.Net.NewRequest(b.Terms[2], b.RouterID(1, 1), 9))
 	eng.Run()
 	// A 9-flit write request plus its 1-flit echo response: both count.
 	if got := b.Net.Stats.Traffic.At(b.Terms[2], b.RouterID(1, 1)); got != 10 {
@@ -285,7 +285,7 @@ func TestOverlayExpressLowersLatency(t *testing.T) {
 		}
 		newEcho(b, 1)
 		// CPU (cluster 0) reads from the last cluster on the chain.
-		req := NewRequest(0, b.Terms[0], b.RouterID(3, 1), 1)
+		req := b.Net.NewRequest(b.Terms[0], b.RouterID(3, 1), 1)
 		req.PassThrough = overlay
 		b.Net.Send(req)
 		eng.Run()
@@ -312,7 +312,7 @@ func TestOverlayUnderLoadStillDelivers(t *testing.T) {
 	total := 400
 	for i := 0; i < total; i++ {
 		src := rng.Intn(4)
-		req := NewRequest(0, b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
+		req := b.Net.NewRequest(b.Terms[src], rng.Intn(16), 1+8*rng.Intn(2))
 		req.PassThrough = src == 0 // CPU packets use the overlay
 		at := sim.Time(rng.Intn(1000)) * sim.Nanosecond
 		eng.At(at, func() { b.Net.Send(req) })
@@ -344,7 +344,7 @@ func TestSTORUSBeatsOrMatchesSMESHHops(t *testing.T) {
 func TestChannelEnergyAccounting(t *testing.T) {
 	eng, b := build(t, spec4x4(TopoSFBFLY))
 	newEcho(b, 9)
-	b.Net.Send(NewRequest(0, b.Terms[0], b.RouterID(1, 0), 9))
+	b.Net.Send(b.Net.NewRequest(b.Terms[0], b.RouterID(1, 0), 9))
 	eng.Run()
 	busy, total := b.Net.ChannelBusy()
 	if busy <= 0 {

@@ -38,7 +38,7 @@ func TestSixteenClusterTrafficDrains(t *testing.T) {
 			src := rng.Intn(16)
 			dst := rng.Intn(b.Net.NumRouters())
 			at := sim.Time(rng.Intn(3000)) * sim.Nanosecond
-			eng.At(at, func() { b.Net.Send(NewRequest(0, b.Terms[src], dst, 1+8*rng.Intn(2))) })
+			eng.At(at, func() { b.Net.Send(b.Net.NewRequest(b.Terms[src], dst, 1+8*rng.Intn(2))) })
 		}
 		eng.Run()
 		if h.responses != n {
@@ -63,7 +63,7 @@ func TestOverlaySnakeOnSixteenClusters(t *testing.T) {
 	}
 	newEcho(b, 1)
 	// A CPU request to the far corner of the slice: many chain hops.
-	req := NewRequest(0, b.Terms[0], b.RouterID(15, 2), 1)
+	req := b.Net.NewRequest(b.Terms[0], b.RouterID(15, 2), 1)
 	req.PassThrough = true
 	b.Net.Send(req)
 	eng.Run()

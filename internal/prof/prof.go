@@ -84,16 +84,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// StageFromName returns the stage with the given name, or -1.
-func StageFromName(name string) Stage {
-	for i, n := range stageNames {
-		if n == name {
-			return Stage(i)
-		}
-	}
-	return -1
-}
-
 // PktRec is the open attribution record of one in-flight packet. Records
 // are pooled by the owning NetProf; the hot-path hooks touch only this
 // struct (no map lookups, no allocation).

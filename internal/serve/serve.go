@@ -56,8 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -146,13 +144,9 @@ type Config struct {
 	MaxRunTime time.Duration
 	// Runner executes jobs (default RegistryRunner).
 	Runner Runner
-	// Log selects the destination for lifecycle logs when Logger is nil:
-	// its writer receives the structured JSON lines. Kept as a *log.Logger
-	// so existing callers (and tests passing io.Discard) keep working.
-	Log *log.Logger
 	// Logger receives structured lifecycle logs, keyed by job
 	// content-address under the "job" attribute. Nil falls back to a JSON
-	// logger on Log's writer (or stderr when Log is also nil).
+	// logger on stderr.
 	Logger *slog.Logger
 	// Profile, when true, collects a latency-attribution profile (package
 	// prof) for every run of every executed job and serves them at
@@ -242,11 +236,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Runner = RegistryRunner
 	}
 	if cfg.Logger == nil {
-		w := io.Writer(os.Stderr)
-		if cfg.Log != nil {
-			w = cfg.Log.Writer()
-		}
-		cfg.Logger = telemetry.NewLogger(w)
+		cfg.Logger = telemetry.NewLogger(os.Stderr)
 	}
 	s := &Server{
 		cfg:            cfg,

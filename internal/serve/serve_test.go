@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +17,7 @@ import (
 	"memnet/internal/exp"
 	"memnet/internal/fault"
 	"memnet/internal/serve"
+	"memnet/internal/telemetry"
 )
 
 // testTimeout bounds every blocking wait in this file.
@@ -68,8 +68,8 @@ func (l *runLog) snapshot() []string {
 
 func newServer(t *testing.T, cfg serve.Config) *serve.Server {
 	t.Helper()
-	if cfg.Log == nil {
-		cfg.Log = log.New(io.Discard, "", 0)
+	if cfg.Logger == nil {
+		cfg.Logger = telemetry.DiscardLogger()
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

@@ -17,9 +17,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the sample's value for a label key ("" when absent).
-func (s Sample) Label(key string) string { return s.Labels[key] }
-
 // ParseText parses the Prometheus text exposition format (the subset this
 // package emits: HELP/TYPE comments, optionally labeled sample lines).
 // It is the reading half of WritePrometheus — cmd/memnetstat uses it to

@@ -17,8 +17,7 @@
 //     CPU pass-through overlay (Section V);
 //   - the full substrate: cycle-level virtual-channel routers, HMC vault
 //     controllers with FR-FCFS DRAM scheduling, GPU SM/cache models, an
-//     out-of-order host CPU, a MOESI coherence directory and a PCIe
-//     fabric.
+//     out-of-order host CPU and a PCIe fabric.
 //
 // Quick start:
 //
