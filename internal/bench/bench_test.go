@@ -16,7 +16,9 @@ func BenchmarkFlitHop(b *testing.B)         { FlitHop(b) }
 func BenchmarkSaturatedNoC(b *testing.B)    { SaturatedNoC(b) }
 func BenchmarkLowLoadNoC(b *testing.B)      { LowLoadNoC(b) }
 func BenchmarkCacheAccess(b *testing.B)     { CacheAccess(b) }
+func BenchmarkHMCAccess(b *testing.B)       { HMCAccess(b) }
 func BenchmarkNewSystem(b *testing.B)       { NewSystem(b) }
+func BenchmarkFig14Point(b *testing.B)      { Fig14Point(b) }
 func BenchmarkFig07(b *testing.B)           { Fig07(b) }
 func BenchmarkFig12(b *testing.B)           { Fig12(b) }
 func BenchmarkFig16(b *testing.B)           { Fig16(b) }
