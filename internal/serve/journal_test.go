@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"memnet/internal/exp"
+	"memnet/internal/telemetry"
 )
 
 // jspec returns a canonical spec and its key for journal tests.
@@ -215,5 +220,45 @@ func TestJournalRewrite(t *testing.T) {
 	}
 	if len(rr.Live) != 1 || rr.Live[0].key != keyB || !rr.Live[0].started || rr.Records != 2 {
 		t.Fatalf("compacted replay = %+v, want just %s started", rr, keyB)
+	}
+}
+
+// TestCompactionAfterTerminalRecordDropsFinishedJob drives a failed job's
+// terminal record to the compactEvery-th append. The compaction it
+// triggers must not write the finished job back as submitted + started,
+// which would requeue it after a restart, and the job must no longer read
+// as running once Wait returns.
+func TestCompactionAfterTerminalRecordDropsFinishedJob(t *testing.T) {
+	dir := t.TempDir()
+	runner := func(*JobSpec, exp.Env) (string, error) { return "", errors.New("simulation failed") }
+	s, err := New(Config{Runner: runner, CacheDir: dir, Logger: telemetry.DiscardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	s.mu.Lock()
+	// The job's submitted and started records are the next two appends,
+	// so its failed record is the compactEvery-th.
+	s.jl.appends = compactEvery - 3
+	wal := s.jl.path()
+	s.mu.Unlock()
+
+	sp, _ := jspec(t, "fig7", 0.05)
+	key, _, _, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), key); err == nil {
+		t.Fatal("job succeeded, want the runner's failure")
+	}
+	if got := s.Stats().Running; got != 0 {
+		t.Fatalf("Stats().Running = %d once Wait returned, want 0", got)
+	}
+	rr, err := replayJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Live) != 0 || rr.Records != 0 {
+		t.Fatalf("compacted WAL holds %d records naming %d live jobs, want none", rr.Records, len(rr.Live))
 	}
 }

@@ -665,11 +665,6 @@ func (s *Server) dispatch() {
 		s.mu.Unlock()
 
 		s.execute(j)
-
-		s.mu.Lock()
-		s.running = nil
-		s.met.runningJobs.Set(0)
-		s.mu.Unlock()
 	}
 }
 
@@ -745,6 +740,11 @@ func (s *Server) execute(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The job stops running before its terminal record is journalled: a
+	// compaction triggered by that record must not write the finished job
+	// back as started, and nothing woken by j.done may still see it run.
+	s.running = nil
+	s.met.runningJobs.Set(0)
 	s.stats.SimulationsRun++
 	if s.runEWMA == 0 {
 		s.runEWMA = elapsed.Seconds()
