@@ -69,12 +69,26 @@ func (s *Stats) ReadHitRate() float64 {
 	return float64(h) / float64(total)
 }
 
+// line is one cache line in 16 bytes. key is the line's tag shifted left
+// one bit with the low bit set, and 0 while the line is invalid, so a
+// zeroed line is invalid (tags never reach the top address bit). stamp is
+// the cache tick of the line's last access shifted left one bit, with the
+// dirty flag in the low bit. Every access takes a fresh tick, so ordering
+// lines by stamp orders them by last use, as LRU needs.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	key   uint64
+	stamp uint64
 }
+
+// lineKey returns the key of a valid line holding tag.
+func lineKey(tag uint64) uint64 { return tag<<1 | 1 }
+
+func (l *line) valid() bool { return l.key != 0 }
+func (l *line) dirty() bool { return l.stamp&1 != 0 }
+func (l *line) tag() uint64 { return l.key >> 1 }
+
+// touch stamps the line with tick, keeping its dirty flag.
+func (l *line) touch(tick uint64) { l.stamp = tick<<1 | l.stamp&1 }
 
 // Result describes the outcome of one access.
 type Result struct {
@@ -152,14 +166,15 @@ func (c *Cache) ways(set uint64) []line {
 func (c *Cache) Access(addr mem.Addr, write bool) Result {
 	c.tick++
 	set, tag := c.index(addr)
+	key := lineKey(tag)
 	lines := c.ways(set)
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].used = c.tick
+		if l := &lines[i]; l.key == key {
+			l.touch(c.tick)
 			if write {
 				c.Stats.WriteHits.Inc()
 				if c.cfg.Policy == WriteBackAllocate {
-					lines[i].dirty = true
+					l.stamp |= 1
 					return Result{Hit: true}
 				}
 				// Write-through: update the line, forward the write.
@@ -183,25 +198,28 @@ func (c *Cache) Access(addr mem.Addr, write bool) Result {
 		lines = c.ways(set)
 	}
 	res := Result{Forward: true, Fill: true}
-	victim := c.victim(lines)
-	if lines[victim].valid {
+	v := &lines[c.victim(lines)]
+	if v.valid() {
 		c.Stats.Evictions.Inc()
-		if lines[victim].dirty {
+		if v.dirty() {
 			c.Stats.WriteBacks.Inc()
 			res.HasWriteBack = true
-			res.WriteBack = c.lineAddr(set, lines[victim].tag)
+			res.WriteBack = c.lineAddr(set, v.tag())
 		}
 	}
-	lines[victim] = line{tag: tag, valid: true, used: c.tick,
-		dirty: write && c.cfg.Policy == WriteBackAllocate}
+	*v = line{key: key, stamp: c.tick << 1}
+	if write && c.cfg.Policy == WriteBackAllocate {
+		v.stamp |= 1
+	}
 	return res
 }
 
 // Probe reports whether addr's line is resident, without changing state.
 func (c *Cache) Probe(addr mem.Addr) bool {
 	set, tag := c.index(addr)
+	key := lineKey(tag)
 	for _, l := range c.ways(set) {
-		if l.valid && l.tag == tag {
+		if l.key == key {
 			return true
 		}
 	}
@@ -214,11 +232,12 @@ func (c *Cache) Probe(addr mem.Addr) bool {
 // line").
 func (c *Cache) Invalidate(addr mem.Addr) (wb mem.Addr, dirty bool) {
 	set, tag := c.index(addr)
+	key := lineKey(tag)
 	lines := c.ways(set)
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
+		if lines[i].key == key {
 			c.Stats.Invalidates.Inc()
-			dirty = lines[i].dirty
+			dirty = lines[i].dirty()
 			if dirty {
 				wb = c.lineAddr(set, tag)
 			}
@@ -234,8 +253,8 @@ func (c *Cache) Invalidate(addr mem.Addr) (wb mem.Addr, dirty bool) {
 func (c *Cache) Flush() []mem.Addr {
 	var dirty []mem.Addr
 	for i := range c.lines {
-		if l := &c.lines[i]; l.valid && l.dirty {
-			dirty = append(dirty, c.lineAddr(uint64(i/c.cfg.Ways), l.tag))
+		if l := &c.lines[i]; l.valid() && l.dirty() {
+			dirty = append(dirty, c.lineAddr(uint64(i/c.cfg.Ways), l.tag()))
 		}
 	}
 	clear(c.lines)
@@ -249,11 +268,11 @@ func (c *Cache) lineAddr(set, tag uint64) mem.Addr {
 func (c *Cache) victim(lines []line) int {
 	v, oldest := 0, ^uint64(0)
 	for i := range lines {
-		if !lines[i].valid {
+		if !lines[i].valid() {
 			return i
 		}
-		if lines[i].used < oldest {
-			v, oldest = i, lines[i].used
+		if lines[i].stamp < oldest {
+			v, oldest = i, lines[i].stamp
 		}
 	}
 	return v

@@ -290,7 +290,7 @@ func TestFirstFillBuildsStore(t *testing.T) {
 		}
 		valid := 0
 		for _, l := range c.lines {
-			if l.valid {
+			if l.valid() {
 				valid++
 			}
 		}

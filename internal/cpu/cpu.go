@@ -36,7 +36,10 @@ type Trace interface {
 
 // Port is the CPU's connection to memory below its L2.
 type Port interface {
-	Access(addr mem.Addr, write bool, done func())
+	// Access performs the line access req describes (Addr is virtual) and
+	// finishes req (req.Finish) when the response or write acknowledgment
+	// returns.
+	Access(req *mem.Req)
 }
 
 // Config describes the host core.
@@ -84,31 +87,33 @@ type CPU struct {
 	l1   *cache.Cache
 	l2   *cache.Cache
 	port Port
+	reqs *mem.Reqs
 
 	// execution state
 	trace       Trace
 	cursor      sim.Time // virtual retire-front time
 	outstanding int
+	// writeBacks counts eviction write-backs sent below the L2 and not
+	// yet acknowledged; they occupy no MLP slot.
+	writeBacks int
 	// blocked holds a below-L2 access waiting for an MLP slot. The cache
 	// lookup already happened (and filled the line), so on resume the
 	// access goes straight to the port.
-	blocked *struct {
-		addr  mem.Addr
-		write bool
-	}
+	blocked *mem.Req
 	onDone  func()
 	running bool
 
 	Stats Stats
 }
 
-// New builds a CPU attached to port.
-func New(eng *sim.Engine, cfg Config, port Port) (*CPU, error) {
+// New builds a CPU attached to port. Its accesses below the L2 draw their
+// requests from reqs.
+func New(eng *sim.Engine, cfg Config, port Port, reqs *mem.Reqs) (*CPU, error) {
 	if cfg.IssueWidth <= 0 || cfg.MLP <= 0 {
 		return nil, fmt.Errorf("cpu: invalid config %+v", cfg)
 	}
-	if port == nil {
-		return nil, fmt.Errorf("cpu: nil port")
+	if port == nil || reqs == nil {
+		return nil, fmt.Errorf("cpu: nil port or request list")
 	}
 	l1, err := cache.New(cfg.L1)
 	if err != nil {
@@ -119,7 +124,7 @@ func New(eng *sim.Engine, cfg Config, port Port) (*CPU, error) {
 		return nil, fmt.Errorf("cpu: L2: %w", err)
 	}
 	return &CPU{eng: eng, cfg: cfg, clk: sim.ClockMHz(cfg.ClockMHz),
-		l1: l1, l2: l2, port: port}, nil
+		l1: l1, l2: l2, port: port, reqs: reqs}, nil
 }
 
 // Config returns the core configuration.
@@ -164,9 +169,9 @@ func (c *CPU) process() {
 			if c.outstanding >= c.cfg.MLP {
 				return // still blocked
 			}
-			b := c.blocked
+			req := c.blocked
 			c.blocked = nil
-			c.issueBelow(b.addr, b.write)
+			c.issueBelow(req)
 			continue
 		}
 		op, ok := c.trace.Next()
@@ -214,41 +219,81 @@ func (c *CPU) tryMem(op Op) bool {
 		return true
 	}
 	// Below-L2 miss: needs an MLP slot.
+	req := c.newReq(addr, op.Write, missDone)
 	if c.outstanding >= c.cfg.MLP {
-		c.blocked = &struct {
-			addr  mem.Addr
-			write bool
-		}{addr, op.Write}
+		c.blocked = req
 		return false
 	}
-	c.issueBelow(addr, op.Write)
+	c.issueBelow(req)
 	return true
 }
 
-// issueBelow sends an access to the memory port and handles completion.
-func (c *CPU) issueBelow(addr mem.Addr, write bool) {
-	c.outstanding++
+// newReq returns a pooled request for the line at addr, finished by done.
+func (c *CPU) newReq(addr mem.Addr, write bool, done func(*mem.Req)) *mem.Req {
+	req := c.reqs.Get()
+	req.Addr = addr
+	req.Write = write
+	req.Owner = c
+	req.Done = done
+	return req
+}
+
+// sendAt hands req to the memory port as an event at the retire front, or
+// now if that lies in the past.
+func (c *CPU) sendAt(req *mem.Req) {
 	at := c.cursor
 	if now := c.eng.Now(); at < now {
 		at = now
 	}
-	start := at
-	c.eng.At(at, func() {
-		c.port.Access(addr, write, func() {
-			c.outstanding--
-			c.Stats.MemLatency.Add(float64(c.eng.Now() - start))
-			// A completion may unblock the pipeline or finish the run.
-			if c.blocked != nil {
-				if now := c.eng.Now(); c.cursor < now {
-					c.Stats.StallPS.Add(int64(now - c.cursor))
-					c.cursor = now
-				}
-				c.process()
-			} else if c.running {
-				c.finishWhenDrained()
-			}
-		})
-	})
+	req.Issued = at
+	c.eng.AtEvent(at, portAccess, req)
+}
+
+// portAccess sends a host request to the memory port.
+func portAccess(a any) {
+	req := a.(*mem.Req)
+	req.Owner.(*CPU).port.Access(req)
+}
+
+// issueBelow sends a miss to the memory port in an MLP slot.
+func (c *CPU) issueBelow(req *mem.Req) {
+	c.outstanding++
+	c.sendAt(req)
+}
+
+// missDone completes a miss: it frees the MLP slot, which may unblock the
+// pipeline or finish the run.
+func missDone(req *mem.Req) {
+	c := req.Owner.(*CPU)
+	c.outstanding--
+	c.Stats.MemLatency.Add(float64(c.eng.Now() - req.Issued))
+	c.reqs.Put(req)
+	if c.blocked != nil {
+		if now := c.eng.Now(); c.cursor < now {
+			c.Stats.StallPS.Add(int64(now - c.cursor))
+			c.cursor = now
+		}
+		c.process()
+	} else if c.running {
+		c.finishWhenDrained()
+	}
+}
+
+// writeBackDone releases an acknowledged eviction write-back.
+func writeBackDone(req *mem.Req) {
+	c := req.Owner.(*CPU)
+	c.writeBacks--
+	c.reqs.Put(req)
+}
+
+// ReqsHeld returns the requests the host holds: misses in flight, the
+// miss blocked on the MLP window, and eviction write-backs in flight.
+func (c *CPU) ReqsHeld() int64 {
+	n := int64(c.outstanding + c.writeBacks)
+	if c.blocked != nil {
+		n++
+	}
+	return n
 }
 
 // writeBackToL2 installs a dirty L1 victim in the L2. A dirty L2 line it
@@ -262,13 +307,8 @@ func (c *CPU) writeBackToL2(addr mem.Addr) {
 // portWrite issues an eviction write-back without occupying an MLP slot
 // (write buffers drain asynchronously).
 func (c *CPU) portWrite(addr mem.Addr) {
-	at := c.cursor
-	if now := c.eng.Now(); at < now {
-		at = now
-	}
-	c.eng.At(at, func() {
-		c.port.Access(addr, true, nil)
-	})
+	c.writeBacks++
+	c.sendAt(c.newReq(addr, true, writeBackDone))
 }
 
 // finishWhenDrained completes the run once the trace ended and all

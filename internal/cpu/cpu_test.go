@@ -26,26 +26,24 @@ type fixedPort struct {
 	eng      *sim.Engine
 	delay    sim.Time
 	accesses int
-	// writeBacks lists the eviction write-backs in arrival order: writes
-	// with no completion callback, as portWrite issues them.
+	// writeBacks lists the eviction write-backs in arrival order: the
+	// requests portWrite issues, which no MLP slot waits for.
 	writeBacks []mem.Addr
 }
 
-func (p *fixedPort) Access(addr mem.Addr, write bool, done func()) {
+func (p *fixedPort) Access(req *mem.Req) {
 	p.accesses++
-	if write && done == nil {
-		p.writeBacks = append(p.writeBacks, addr)
+	if reflect.ValueOf(req.Done).Pointer() == reflect.ValueOf(writeBackDone).Pointer() {
+		p.writeBacks = append(p.writeBacks, req.Addr)
 	}
-	if done != nil {
-		p.eng.After(p.delay, done)
-	}
+	p.eng.AfterEvent(p.delay, mem.FinishEvent, req)
 }
 
 func run(t *testing.T, cfg Config, ops []Op, delay sim.Time) (*CPU, *fixedPort, sim.Time) {
 	t.Helper()
 	eng := sim.NewEngine()
 	port := &fixedPort{eng: eng, delay: delay}
-	c, err := New(eng, cfg, port)
+	c, err := New(eng, cfg, port, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestSlowMemorySlowsCompletion(t *testing.T) {
 
 func TestRunWhileBusyPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	c, err := New(eng, DefaultConfig(), &fixedPort{eng: eng, delay: sim.Microsecond})
+	c, err := New(eng, DefaultConfig(), &fixedPort{eng: eng, delay: sim.Microsecond}, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +194,10 @@ func TestRunWhileBusyPanics(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := New(eng, Config{}, &fixedPort{eng: eng}); err == nil {
+	if _, err := New(eng, Config{}, &fixedPort{eng: eng}, new(mem.Reqs)); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	if _, err := New(eng, DefaultConfig(), nil); err == nil {
+	if _, err := New(eng, DefaultConfig(), nil, new(mem.Reqs)); err == nil {
 		t.Fatal("nil port accepted")
 	}
 }

@@ -3,13 +3,14 @@ package cpu
 import (
 	"testing"
 
+	"memnet/internal/mem"
 	"memnet/internal/sim"
 )
 
 func TestFlushCachesForcesRefetch(t *testing.T) {
 	eng := sim.NewEngine()
 	port := &fixedPort{eng: eng, delay: 100 * sim.Nanosecond}
-	c, err := New(eng, DefaultConfig(), port)
+	c, err := New(eng, DefaultConfig(), port, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestFlushCachesForcesRefetch(t *testing.T) {
 func TestFlushWritesBackDirtyLines(t *testing.T) {
 	eng := sim.NewEngine()
 	port := &fixedPort{eng: eng, delay: 10 * sim.Nanosecond}
-	c, err := New(eng, DefaultConfig(), port)
+	c, err := New(eng, DefaultConfig(), port, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

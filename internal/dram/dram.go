@@ -50,19 +50,28 @@ const maxBankViolations = 4
 // column commands only to the open row. Violations indicate a controller
 // bug; they are recorded on the bank for the audit layer to drain rather
 // than panicking, so timing results are still produced.
+//
+// A bank is 40 bytes and holds no pointer until its first violation, so
+// an HMC keeps its banks in one value array.
 type Bank struct {
 	openRow    int64 // -1 when closed
 	actAt      sim.Time
 	colReadyAt sim.Time // earliest next column command (tCCD)
 	preReadyAt sim.Time // earliest next precharge (tWR after writes)
 
-	violations []string
-	dropped    int
+	log *violationLog // nil until the first violation
+}
+
+// violationLog is a bank's record of FSM violations: up to
+// maxBankViolations messages, then a count of the ones dropped.
+type violationLog struct {
+	msgs    []string
+	dropped int
 }
 
 // NewBank returns a closed, idle bank.
-func NewBank() *Bank {
-	return &Bank{openRow: -1}
+func NewBank() Bank {
+	return Bank{openRow: -1}
 }
 
 // OpenRow returns the currently open row, or -1 if the bank is precharged.
@@ -77,19 +86,25 @@ func (b *Bank) RowHit(row int64) bool { return b.openRow == row }
 
 // illegal records an FSM violation, capped at maxBankViolations.
 func (b *Bank) illegal(msg string) {
-	if len(b.violations) < maxBankViolations {
-		b.violations = append(b.violations, msg)
+	if b.log == nil {
+		b.log = &violationLog{}
+	}
+	if len(b.log.msgs) < maxBankViolations {
+		b.log.msgs = append(b.log.msgs, msg)
 		return
 	}
-	b.dropped++
+	b.log.dropped++
 }
 
 // Violations returns the FSM violations recorded so far. A "... more
 // dropped" entry is appended when the per-bank cap was hit.
 func (b *Bank) Violations() []string {
-	out := append([]string(nil), b.violations...)
-	if b.dropped > 0 {
-		out = append(out, fmt.Sprintf("(%d more violations dropped)", b.dropped))
+	if b.log == nil {
+		return nil
+	}
+	out := append([]string(nil), b.log.msgs...)
+	if b.log.dropped > 0 {
+		out = append(out, fmt.Sprintf("(%d more violations dropped)", b.log.dropped))
 	}
 	return out
 }
@@ -98,8 +113,7 @@ func (b *Bank) Violations() []string {
 // periodic audit pass reports each violation once.
 func (b *Bank) TakeViolations() []string {
 	out := b.Violations()
-	b.violations = nil
-	b.dropped = 0
+	b.log = nil
 	return out
 }
 

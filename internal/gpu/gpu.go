@@ -63,9 +63,10 @@ type Kernel interface {
 // MemPort is the GPU's connection below its L2: the local HMC star, the
 // memory network, or the PCIe path to a remote GPU, provided by the system.
 type MemPort interface {
-	// Access performs a line-granularity access at a virtual address and
-	// invokes done when the response (or write acknowledgment) returns.
-	Access(addr mem.Addr, write, atomic bool, done func())
+	// Access performs the line-granularity access req describes (Addr is
+	// virtual) and finishes req (req.Finish) when the response or write
+	// acknowledgment returns.
+	Access(req *mem.Req)
 }
 
 // Config sizes one GPU (defaults per Table I).
@@ -166,6 +167,12 @@ type GPU struct {
 	l2Banks []sim.Time // per-bank next-free time
 	port    MemPort
 
+	// reqs is the system's request free list; writeBacks counts L2
+	// eviction write-backs in flight (only under the write-back L2
+	// ablation), which no SM waits for.
+	reqs       *mem.Reqs
+	writeBacks int
+
 	ctxs []*launchCtx
 	next int // round-robin context pointer for SM filling
 
@@ -188,13 +195,14 @@ type GPU struct {
 	Stats Stats
 }
 
-// New builds a GPU with the given device id and memory port.
-func New(eng *sim.Engine, id int, cfg Config, port MemPort) (*GPU, error) {
+// New builds a GPU with the given device id and memory port. Its accesses
+// below the L1s draw their requests from reqs.
+func New(eng *sim.Engine, id int, cfg Config, port MemPort, reqs *mem.Reqs) (*GPU, error) {
 	if cfg.Cores <= 0 || cfg.WarpSize <= 0 || cfg.IssuePerCycle <= 0 {
 		return nil, fmt.Errorf("gpu: invalid config %+v", cfg)
 	}
-	if port == nil {
-		return nil, fmt.Errorf("gpu: nil memory port")
+	if port == nil || reqs == nil {
+		return nil, fmt.Errorf("gpu: nil memory port or request list")
 	}
 	l2, err := cache.New(cfg.L2)
 	if err != nil {
@@ -209,6 +217,7 @@ func New(eng *sim.Engine, id int, cfg Config, port MemPort) (*GPU, error) {
 		l2:      l2,
 		l2Banks: make([]sim.Time, cfg.L2Banks),
 		port:    port,
+		reqs:    reqs,
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1, err := cache.New(cfg.L1)
@@ -504,46 +513,93 @@ func (g *GPU) warpsPerCTA(k Kernel) int {
 	return w
 }
 
-// l2Access services a memory access below the L1s: crossbar to a banked,
-// write-through L2, then the memory port on misses and write-throughs.
-// Atomics invalidate the L2 line and always go to memory.
-func (g *GPU) l2Access(addr mem.Addr, write, atomic bool, done func()) {
-	g.eng.After(g.cfg.XbarLatency, func() {
-		bank := int(uint64(addr)/uint64(g.cfg.L2.LineBytes)) % g.cfg.L2Banks
-		t := g.eng.Now()
-		if g.l2Banks[bank] > t {
-			t = g.l2Banks[bank]
-		}
-		service := g.l2Clk.Cycles(int64(g.cfg.L2ServiceCycle))
-		g.l2Banks[bank] = t + service
-		g.eng.At(t+service, func() {
-			if atomic {
-				g.l2.Invalidate(addr)
-				g.port.Access(addr, write, true, func() {
-					g.eng.After(g.cfg.XbarLatency, done)
-				})
-				return
-			}
-			res := g.l2.Access(addr, write)
-			if res.HasWriteBack {
-				// Only under a write-back L2 (the ablation configuration;
-				// Section III-D mandates write-through for SKE). Eviction
-				// write-backs drain asynchronously from the shared L2 and
-				// are not attributed to a kernel context.
-				g.port.Access(res.WriteBack, true, false, func() {})
-			}
-			if res.Hit && !res.Forward {
-				// Absorbed by the L2: a read hit, or a write hit under
-				// the write-back ablation policy.
-				g.eng.After(g.cfg.L2HitExtra+g.cfg.XbarLatency, done)
-				return
-			}
-			// Miss fill or write-through to memory.
-			g.port.Access(addr, write, false, func() {
-				g.eng.After(g.cfg.XbarLatency, done)
-			})
-		})
-	})
+// An SM's request below its L1 takes these steps, each a typed event on
+// the request: l2Enter when it leaves the SM, l2Bank after the crossbar,
+// l2Lookup once its L2 bank has served it, then either an L2 hit's return
+// or the memory port, whose response crosses back (crossbarBack); last,
+// requestDone at the SM. Atomics invalidate the L2 line and always go to
+// memory.
+
+// gpuOf returns the GPU of an SM's request.
+func gpuOf(req *mem.Req) *GPU { return req.Owner.(*warpState).sm.g }
+
+// l2Enter starts a request across the SM-to-L2 crossbar.
+func l2Enter(a any) {
+	g := gpuOf(a.(*mem.Req))
+	g.eng.AfterEvent(g.cfg.XbarLatency, l2Bank, a)
+}
+
+// l2Bank queues a request on its L2 bank, which serves one access per
+// L2ServiceCycle.
+func l2Bank(a any) {
+	req := a.(*mem.Req)
+	g := gpuOf(req)
+	bank := int(uint64(req.Addr)/uint64(g.cfg.L2.LineBytes)) % g.cfg.L2Banks
+	t := g.eng.Now()
+	if g.l2Banks[bank] > t {
+		t = g.l2Banks[bank]
+	}
+	service := g.l2Clk.Cycles(int64(g.cfg.L2ServiceCycle))
+	g.l2Banks[bank] = t + service
+	g.eng.AtEvent(t+service, l2Lookup, req)
+}
+
+// l2Lookup runs a request through the write-through L2: a hit returns to
+// the SM, a miss fill or write-through goes to the memory port.
+func l2Lookup(a any) {
+	req := a.(*mem.Req)
+	g := gpuOf(req)
+	if req.Atomic {
+		g.l2.Invalidate(req.Addr)
+		g.port.Access(req)
+		return
+	}
+	res := g.l2.Access(req.Addr, req.Write)
+	if res.HasWriteBack {
+		// Only under a write-back L2 (the ablation configuration; Section
+		// III-D mandates write-through for SKE). Eviction write-backs
+		// drain asynchronously from the shared L2 and are not attributed
+		// to a kernel context.
+		wb := g.reqs.Get()
+		wb.Addr = res.WriteBack
+		wb.Write = true
+		wb.Owner = g
+		wb.Done = writeBackDone
+		g.writeBacks++
+		g.port.Access(wb)
+	}
+	if res.Hit && !res.Forward {
+		// Absorbed by the L2: a read hit, or a write hit under the
+		// write-back ablation policy.
+		g.eng.AfterEvent(g.cfg.L2HitExtra+g.cfg.XbarLatency, requestDone, req)
+		return
+	}
+	// Miss fill or write-through to memory.
+	g.port.Access(req)
+}
+
+// crossbarBack returns a request the memory port finished across the
+// crossbar to its SM.
+func crossbarBack(req *mem.Req) {
+	g := gpuOf(req)
+	g.eng.AfterEvent(g.cfg.XbarLatency, requestDone, req)
+}
+
+// writeBackDone releases an L2 write-back the memory port acknowledged.
+func writeBackDone(req *mem.Req) {
+	g := req.Owner.(*GPU)
+	g.writeBacks--
+	g.reqs.Put(req)
+}
+
+// ReqsHeld returns the requests this GPU holds: accesses its SMs have in
+// flight below their L1s plus L2 write-backs not yet acknowledged.
+func (g *GPU) ReqsHeld() int64 {
+	n := int64(g.writeBacks)
+	for _, s := range g.sms {
+		n += int64(s.outstanding)
+	}
+	return n
 }
 
 // L2CacheStats exposes the shared L2's statistics.

@@ -46,15 +46,15 @@ type fixedPort struct {
 	atomics  int
 }
 
-func (p *fixedPort) Access(_ mem.Addr, write, atomic bool, done func()) {
+func (p *fixedPort) Access(req *mem.Req) {
 	p.accesses++
-	if write {
+	if req.Write {
 		p.writes++
 	}
-	if atomic {
+	if req.Atomic {
 		p.atomics++
 	}
-	p.eng.After(p.delay, done)
+	p.eng.AfterEvent(p.delay, mem.FinishEvent, req)
 }
 
 func smallCfg() Config {
@@ -68,7 +68,7 @@ func launch(t *testing.T, cfg Config, k Kernel, delay sim.Time) (*GPU, *fixedPor
 	t.Helper()
 	eng := sim.NewEngine()
 	port := &fixedPort{eng: eng, delay: delay}
-	g, err := New(eng, 0, cfg, port)
+	g, err := New(eng, 0, cfg, port, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStealCTAs(t *testing.T) {
 	eng := sim.NewEngine()
 	port := &fixedPort{eng: eng, delay: 10 * sim.Microsecond}
 	cfg := smallCfg()
-	g, err := New(eng, 0, cfg, port)
+	g, err := New(eng, 0, cfg, port, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestStealCTAs(t *testing.T) {
 // from the first context would finish the second kernel a wave later.
 func TestConcurrentKernelsShareSMs(t *testing.T) {
 	eng := sim.NewEngine()
-	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng, delay: 200 * sim.Nanosecond})
+	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng, delay: 200 * sim.Nanosecond}, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestConcurrentKernelsShareSMs(t *testing.T) {
 
 func TestEmptyLaunchCompletes(t *testing.T) {
 	eng := sim.NewEngine()
-	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng})
+	g, err := New(eng, 0, smallCfg(), &fixedPort{eng: eng}, new(mem.Reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +348,10 @@ func TestEmptyLaunchCompletes(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := New(eng, 0, Config{}, &fixedPort{eng: eng}); err == nil {
+	if _, err := New(eng, 0, Config{}, &fixedPort{eng: eng}, new(mem.Reqs)); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	if _, err := New(eng, 0, smallCfg(), nil); err == nil {
+	if _, err := New(eng, 0, smallCfg(), nil, new(mem.Reqs)); err == nil {
 		t.Fatal("nil port accepted")
 	}
 }

@@ -53,6 +53,9 @@ type warpState struct {
 	// op is the memory instruction being issued. step sets it; it stays
 	// put while issueMem waits for the SM's MSHRs to free.
 	op WarpOp
+	// waiting counts the accesses of the warp's load or atomic still
+	// outstanding; the last one to respond resumes the warp.
+	waiting int
 }
 
 func (s *sm) startCTA(ctx *launchCtx, id int) {
@@ -81,6 +84,18 @@ func warpStep(a any) { a.(*warpState).step() }
 // warpIssueMem issues (or retries) the warp's pending memory instruction
 // on the closure-free event path.
 func warpIssueMem(a any) { a.(*warpState).issueMem() }
+
+// warpResponse delivers one response to a warp blocked on a load or
+// atomic: an L1 hit's data, or an access that went below the L1.
+func warpResponse(a any) { a.(*warpState).response() }
+
+// response counts one arrived response; the last resumes the warp.
+func (w *warpState) response() {
+	w.waiting--
+	if w.waiting == 0 {
+		w.step()
+	}
+}
 
 // step fetches and issues the warp's next instruction.
 func (w *warpState) step() {
@@ -132,40 +147,30 @@ func (w *warpState) issueMem() {
 	switch op.Kind {
 	case OpLoad:
 		g.Stats.Loads.Add(int64(len(op.Addrs)))
-		remaining := len(op.Addrs)
+		w.waiting = len(op.Addrs)
 		for _, a := range op.Addrs {
-			s.access(w.cta.ctx, a, false, false, func() {
-				remaining--
-				if remaining == 0 {
-					w.step()
-				}
-			})
+			s.access(w, a, false, false)
 		}
 	case OpStore:
 		g.Stats.Stores.Add(int64(len(op.Addrs)))
 		for _, a := range op.Addrs {
-			s.access(w.cta.ctx, a, true, false, nil)
+			s.access(w, a, true, false)
 		}
 		// The warp continues after the stores enter the pipeline.
 		g.eng.AfterEvent(g.coreClk.Cycles(int64(len(op.Addrs))), warpStep, w)
 	case OpAtomic:
 		g.Stats.Atomics.Add(int64(len(op.Addrs)))
-		remaining := len(op.Addrs)
+		w.waiting = len(op.Addrs)
 		for _, a := range op.Addrs {
-			s.access(w.cta.ctx, a, false, true, func() {
-				remaining--
-				if remaining == 0 {
-					w.step()
-				}
-			})
+			s.access(w, a, false, true)
 		}
 	}
 }
 
-// access runs one line access through the L1 and, when needed, the L2 and
-// memory port. done (if non-nil) fires when the response returns; for
-// writes a nil done still tracks in-flight drain accounting.
-func (s *sm) access(ctx *launchCtx, addr mem.Addr, write, atomic bool, done func()) {
+// access runs one line access of warp w through the L1 and, when needed,
+// the L2 and memory port. A load or atomic responds to the warp; a store
+// responds to no one, but counts in flight until acknowledged.
+func (s *sm) access(w *warpState, addr mem.Addr, write, atomic bool) {
 	g := s.g
 	addr &^= mem.Addr(g.cfg.L1.LineBytes - 1)
 	now := g.eng.Now()
@@ -179,45 +184,59 @@ func (s *sm) access(ctx *launchCtx, addr mem.Addr, write, atomic bool, done func
 		// Section III-D: evict the line before the atomic bypasses to
 		// the HMC logic layer.
 		s.l1.Invalidate(addr)
-		s.below(ctx, addr, false, true, t, done)
+		s.below(w, addr, false, true, t)
 		return
 	}
 	res := s.l1.Access(addr, write)
 	if res.Hit && !write {
-		g.eng.At(t+g.coreClk.Cycles(int64(g.cfg.L1HitCycles)), done)
+		g.eng.AtEvent(t+g.coreClk.Cycles(int64(g.cfg.L1HitCycles)), warpResponse, w)
 		return
 	}
-	if write {
-		// Write-through: forward regardless of hit.
-		s.below(ctx, addr, true, false, t, done)
-		return
-	}
-	// Read miss: fill from below.
-	s.below(ctx, addr, false, false, t, done)
+	// Write-through stores forward regardless of hit; read misses fill
+	// from below.
+	s.below(w, addr, write, false, t)
 }
 
-// below sends an access into the L2/memory path with in-flight accounting
-// attributed to the issuing kernel context.
-func (s *sm) below(ctx *launchCtx, addr mem.Addr, write, atomic bool, at sim.Time, done func()) {
+// below sends an access of warp w into the L2/memory path at time at, as
+// one pooled request, with in-flight accounting attributed to the warp's
+// kernel context.
+func (s *sm) below(w *warpState, addr mem.Addr, write, atomic bool, at sim.Time) {
 	g := s.g
 	s.outstanding++
-	ctx.memInFlight++
-	start := at
-	g.eng.At(at, func() {
-		g.l2Access(addr, write, atomic, func() {
-			s.outstanding--
-			ctx.memInFlight--
-			g.Stats.MemLatency.Add(float64(g.eng.Now() - start))
-			if rec := ctx.krec; rec != nil {
-				rec.MemOps++
-				rec.MemWaitPS += int64(g.eng.Now() - start)
-			}
-			if done != nil {
-				done()
-			}
-			g.maybeDone(ctx)
-		})
-	})
+	w.cta.ctx.memInFlight++
+	req := g.reqs.Get()
+	req.Addr = addr
+	req.Write = write
+	req.Atomic = atomic
+	req.Issued = at
+	req.Owner = w
+	req.Done = crossbarBack
+	g.eng.AtEvent(at, l2Enter, req)
+}
+
+// requestDone retires a request of an SM: it leaves the SM's and its
+// context's in-flight counts, records its latency, responds to the warp
+// if the warp waits for it (loads and atomics) and releases the request.
+func requestDone(a any) {
+	req := a.(*mem.Req)
+	w := req.Owner.(*warpState)
+	s := w.sm
+	g := s.g
+	ctx := w.cta.ctx
+	s.outstanding--
+	ctx.memInFlight--
+	lat := g.eng.Now() - req.Issued
+	g.Stats.MemLatency.Add(float64(lat))
+	if rec := ctx.krec; rec != nil {
+		rec.MemOps++
+		rec.MemWaitPS += int64(lat)
+	}
+	waited := !req.Write
+	g.reqs.Put(req)
+	if waited {
+		w.response()
+	}
+	g.maybeDone(ctx)
 }
 
 // finish retires one warp; the last warp of a CTA frees its slot.

@@ -21,14 +21,20 @@ func newHMC(t *testing.T, mut func(*Config)) (*sim.Engine, *HMC) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hand each completed request to its own Done, if it has one.
+	h.Respond = func(r *mem.Req) {
+		if r.Done != nil {
+			r.Done(r)
+		}
+	}
 	return eng, h
 }
 
 func TestSingleReadCompletes(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	var doneAt sim.Time
-	h.Submit(&Request{Loc: mem.Loc{Vault: 3, Bank: 2, Row: 7},
-		Done: func(*Request) { doneAt = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 3, Bank: 2, Row: 7},
+		Done: func(*mem.Req) { doneAt = eng.Now() }})
 	eng.Run()
 	// Closed bank read: tRCD + tCL + burst = (11+11+4)*1.25ns = 32.5ns.
 	want := sim.Time(26) * 1250
@@ -43,11 +49,11 @@ func TestSingleReadCompletes(t *testing.T) {
 func TestRowHitFasterThanMiss(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	var t1, t2, t3 sim.Time
-	h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 5}, Done: func(*Request) { t1 = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 5}, Done: func(*mem.Req) { t1 = eng.Now() }})
 	eng.Run()
-	h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 5}, Done: func(*Request) { t2 = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 5}, Done: func(*mem.Req) { t2 = eng.Now() }})
 	eng.Run()
-	h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 9}, Done: func(*Request) { t3 = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 9}, Done: func(*mem.Req) { t3 = eng.Now() }})
 	eng.Run()
 	hitLat := t2 - t1
 	missLat := t3 - t2
@@ -62,9 +68,9 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	var order []int64
-	mk := func(row int64) *Request {
-		return &Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: row},
-			Done: func(r *Request) { order = append(order, r.Loc.Row) }}
+	mk := func(row int64) *mem.Req {
+		return &mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: row},
+			Done: func(r *mem.Req) { order = append(order, r.Loc.Row) }}
 	}
 	// Open row 1 first.
 	h.Submit(mk(1))
@@ -82,9 +88,9 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 func TestFCFSKeepsArrivalOrder(t *testing.T) {
 	eng, h := newHMC(t, func(c *Config) { c.Scheduler = FCFS })
 	var order []int64
-	mk := func(row int64) *Request {
-		return &Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: row},
-			Done: func(r *Request) { order = append(order, r.Loc.Row) }}
+	mk := func(row int64) *mem.Req {
+		return &mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: row},
+			Done: func(r *mem.Req) { order = append(order, r.Loc.Row) }}
 	}
 	h.Submit(mk(1))
 	eng.Run()
@@ -107,7 +113,7 @@ func TestBankParallelismBeatsSerial(t *testing.T) {
 			if spread {
 				loc = mem.Loc{Vault: 0, Bank: i, Row: 0}
 			}
-			h.Submit(&Request{Loc: loc, Done: func(*Request) { remaining-- }})
+			h.Submit(&mem.Req{Loc: loc, Done: func(*mem.Req) { remaining-- }})
 		}
 		eng.Run()
 		if remaining != 0 {
@@ -126,7 +132,7 @@ func TestVaultParallelism(t *testing.T) {
 	run := func(vaults int) sim.Time {
 		eng, h := newHMC(t, nil)
 		for i := 0; i < 16; i++ {
-			h.Submit(&Request{Loc: mem.Loc{Vault: i % vaults, Bank: 0, Row: int64(i)}})
+			h.Submit(&mem.Req{Loc: mem.Loc{Vault: i % vaults, Bank: 0, Row: int64(i)}})
 		}
 		eng.Run()
 		return eng.Now()
@@ -139,12 +145,12 @@ func TestVaultParallelism(t *testing.T) {
 func TestAtomicSlowerThanWrite(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	var wDone, aDone sim.Time
-	h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 1}, Write: true,
-		Done: func(*Request) { wDone = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 1}, Write: true,
+		Done: func(*mem.Req) { wDone = eng.Now() }})
 	eng.Run()
 	base := eng.Now()
-	h.Submit(&Request{Loc: mem.Loc{Vault: 1, Bank: 0, Row: 1}, Atomic: true,
-		Done: func(*Request) { aDone = eng.Now() }})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 1, Bank: 0, Row: 1}, Atomic: true,
+		Done: func(*mem.Req) { aDone = eng.Now() }})
 	eng.Run()
 	if aDone-base <= wDone {
 		t.Fatalf("atomic latency %d not above write latency %d", aDone-base, wDone)
@@ -157,7 +163,7 @@ func TestAtomicSlowerThanWrite(t *testing.T) {
 func TestQueueWaitGrowsUnderLoad(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	for i := 0; i < 64; i++ {
-		h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: int64(i)}})
+		h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: int64(i)}})
 	}
 	if h.QueuedRequests() == 0 {
 		t.Fatal("queue should be non-empty before run")
@@ -184,7 +190,7 @@ func TestOutOfRangeVaultPanics(t *testing.T) {
 			t.Fatal("out-of-range vault did not panic")
 		}
 	}()
-	h.Submit(&Request{Loc: mem.Loc{Vault: 99}})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 99}})
 }
 
 func TestRefreshBlocksVaultAndClosesRows(t *testing.T) {
@@ -194,12 +200,12 @@ func TestRefreshBlocksVaultAndClosesRows(t *testing.T) {
 	})
 	// Warm a row, then request again after the refresh point: the row
 	// must be closed (refresh precharged it) and service delayed.
-	h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 3}})
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 3}})
 	eng.Run()
 	var done sim.Time
 	eng.At(1100*sim.Nanosecond, func() {
-		h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 3},
-			Done: func(*Request) { done = eng.Now() }})
+		h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: 0, Row: 3},
+			Done: func(*mem.Req) { done = eng.Now() }})
 	})
 	eng.Run()
 	if h.Stats.Refreshes.Value() == 0 {
@@ -218,7 +224,7 @@ func TestRefreshBlocksVaultAndClosesRows(t *testing.T) {
 func TestRefreshDisabledByDefault(t *testing.T) {
 	eng, h := newHMC(t, nil)
 	for i := 0; i < 4; i++ {
-		h.Submit(&Request{Loc: mem.Loc{Vault: 0, Bank: i, Row: 1}})
+		h.Submit(&mem.Req{Loc: mem.Loc{Vault: 0, Bank: i, Row: 1}})
 	}
 	eng.Run()
 	if h.Stats.Refreshes.Value() != 0 {
@@ -232,11 +238,11 @@ func TestRequestConservationAudit(t *testing.T) {
 	h.Instrument(obs.Probe{Audit: reg}, "hmc0")
 	completed := 0
 	for i := 0; i < 200; i++ {
-		h.Submit(&Request{
+		h.Submit(&mem.Req{
 			Loc:    mem.Loc{Vault: i % 16, Bank: (i / 3) % 16, Row: int64(i % 7)},
 			Write:  i%4 == 1,
 			Atomic: i%9 == 2,
-			Done:   func(*Request) { completed++ },
+			Done:   func(*mem.Req) { completed++ },
 		})
 	}
 	// Mid-flight: requests split across queued / in-service / completed, but
@@ -282,19 +288,19 @@ func TestFailedVaultDrainsAndRejects(t *testing.T) {
 	reg := audit.New(func() int64 { return int64(eng.Now()) })
 	h.Instrument(obs.Probe{Audit: reg}, "hmc0")
 	completed := 0
-	if !h.Submit(&Request{Loc: mem.Loc{Vault: 2, Bank: 0, Row: 1},
-		Done: func(*Request) { completed++ }}) {
+	if !h.Submit(&mem.Req{Loc: mem.Loc{Vault: 2, Bank: 0, Row: 1},
+		Done: func(*mem.Req) { completed++ }}) {
 		t.Fatal("healthy vault rejected a request")
 	}
 	h.FailVault(2)
 	if !h.VaultFailed(2) || h.VaultFailed(3) {
 		t.Fatal("vault fail-stop flags wrong")
 	}
-	if h.Submit(&Request{Loc: mem.Loc{Vault: 2, Bank: 1, Row: 1}}) {
+	if h.Submit(&mem.Req{Loc: mem.Loc{Vault: 2, Bank: 1, Row: 1}}) {
 		t.Fatal("failed vault accepted a new request")
 	}
-	if !h.Submit(&Request{Loc: mem.Loc{Vault: 3, Bank: 0, Row: 1},
-		Done: func(*Request) { completed++ }}) {
+	if !h.Submit(&mem.Req{Loc: mem.Loc{Vault: 3, Bank: 0, Row: 1},
+		Done: func(*mem.Req) { completed++ }}) {
 		t.Fatal("healthy vault rejected a request after another vault failed")
 	}
 	h.FailVault(2) // idempotent

@@ -16,8 +16,8 @@ type fixedPort struct {
 	delay sim.Time
 }
 
-func (p *fixedPort) Access(_ mem.Addr, _, _ bool, done func()) {
-	p.eng.After(p.delay, done)
+func (p *fixedPort) Access(req *mem.Req) {
+	p.eng.AfterEvent(p.delay, mem.FinishEvent, req)
 }
 
 type sliceTrace struct {
@@ -53,7 +53,7 @@ func mkGPUs(t *testing.T, eng *sim.Engine, n int) []*gpu.GPU {
 	cfg.LaunchLatency = 0
 	var gs []*gpu.GPU
 	for i := 0; i < n; i++ {
-		g, err := gpu.New(eng, i, cfg, &fixedPort{eng: eng, delay: 200 * sim.Nanosecond})
+		g, err := gpu.New(eng, i, cfg, &fixedPort{eng: eng, delay: 200 * sim.Nanosecond}, new(mem.Reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
