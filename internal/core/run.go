@@ -339,7 +339,7 @@ func (s *System) memcpy(h2d bool, done func()) {
 	if s.cfg.Arch.hasPCIe() {
 		remaining := len(byCluster)
 		cpuEP := s.ep[s.cfg.cpuCluster()]
-		finish := func() {
+		finish := func(any) {
 			remaining--
 			if remaining == 0 {
 				// A fresh event, not an inline call: the phase
@@ -351,9 +351,9 @@ func (s *System) memcpy(h2d bool, done func()) {
 		// the CPU link); only the per-transfer spans follow the order.
 		for _, c := range clusters {
 			if h2d {
-				s.fabric.Send(cpuEP, s.ep[c], byCluster[c], finish)
+				s.fabric.Send(cpuEP, s.ep[c], byCluster[c], finish, nil)
 			} else {
-				s.fabric.Send(s.ep[c], cpuEP, byCluster[c], finish)
+				s.fabric.Send(s.ep[c], cpuEP, byCluster[c], finish, nil)
 			}
 		}
 		return
