@@ -87,44 +87,6 @@ func TestAllCTAsExecuteExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestFig7RemoteDataSlowdownShape(t *testing.T) {
-	// Fig. 7: vectorAdd on one GPU with data across 1/2/4 GPU memories.
-	run := func(arch Arch, clusters []int, pcieBW float64) *Result {
-		cfg := tiny(arch, "VA")
-		cfg.Scale = 0.2    // enough traffic that bandwidth dominates launch overhead
-		cfg.GPU.Cores = 64 // full Table I GPU: fast local baseline
-		cfg.ExecGPUs = 1
-		cfg.DataClusters = clusters
-		if pcieBW > 0 {
-			cfg.PCIe.BytesPerSec = pcieBW
-		}
-		return mustRun(t, cfg)
-	}
-	// (a) PCIe: remote data slows the kernel severely. The paper's Fig. 7a
-	// machine is a real M2050 box on PCIe v2 (~8 GB/s).
-	const v2 = 8e9
-	p1 := run(PCIe, []int{0}, v2)
-	p2 := run(PCIe, []int{0, 1}, v2)
-	p4 := run(PCIe, []int{0, 1, 2, 3}, v2)
-	if p4.Kernel < p1.Kernel*3 {
-		t.Fatalf("PCIe 75%% remote kernel %d not >= 3x local %d", p4.Kernel, p1.Kernel)
-	}
-	if p2.Kernel <= p1.Kernel {
-		t.Fatal("PCIe slowdown must be monotonic in remote fraction")
-	}
-	// (b) GMN: remote data must NOT severely slow the kernel (the paper
-	// even measures a speedup at 50% remote from added bank parallelism).
-	g1 := run(GMN, []int{0}, 0)
-	g2 := run(GMN, []int{0, 1}, 0)
-	g4 := run(GMN, []int{0, 1, 2, 3}, 0)
-	if g4.Kernel > g1.Kernel*3/2 {
-		t.Fatalf("GMN 75%% remote kernel %d more than 1.5x local %d", g4.Kernel, g1.Kernel)
-	}
-	if g2.Kernel >= g1.Kernel {
-		t.Fatalf("GMN 50%% remote kernel %d should beat all-local %d (bank parallelism, Fig. 7b)", g2.Kernel, g1.Kernel)
-	}
-}
-
 func TestTrafficImbalanceCGvsKMN(t *testing.T) {
 	// Fig. 10: KMN traffic is near-uniform across HMCs; CG.S is heavily
 	// imbalanced (up to 11.7x in the paper).

@@ -2,7 +2,7 @@
 // (Section VI). Each Fig* function runs the required simulations and
 // returns a result that renders to an aligned text table mirroring the
 // figure's series; cmd/experiments prints them and the repository-level
-// benchmarks report their headline metrics.
+// TestPaperClaims asserts their headline numbers against the paper's.
 //
 // Scale selects the workload input size (1.0 = the repository's default
 // simulation size). The paper's absolute sizes are impractical in pure
@@ -547,10 +547,11 @@ func Fig16Topos() []struct {
 }
 
 // Fig16 compares the sliced topologies' kernel performance and network
-// energy (Fig. 16 and Fig. 17 share the same runs).
+// energy (Fig. 16 and Fig. 17 share the same runs) on the given workloads
+// (default: BP, KMN, BFS, SRAD, FWT and CP).
 func (e Env) Fig16(scale float64, workloads []string) ([]TopoRow, error) {
 	if len(workloads) == 0 {
-		workloads = Fig14Workloads()
+		workloads = []string{"BP", "KMN", "BFS", "SRAD", "FWT", "CP"}
 	}
 	topos := Fig16Topos()
 	type job struct {

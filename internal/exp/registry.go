@@ -149,11 +149,7 @@ var registry = []Experiment{
 	{Name: "fig16", Desc: "Fig. 16/17 — sliced topologies: performance and energy",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			sel := p.Workloads
-			if len(sel) == 0 {
-				sel = []string{"BP", "KMN", "BFS", "SRAD", "FWT", "CP"}
-			}
-			rows, err := p.Env.Fig16(p.Scale, sel)
+			rows, err := p.Env.Fig16(p.Scale, p.Workloads)
 			if err != nil {
 				return "", err
 			}

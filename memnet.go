@@ -124,7 +124,8 @@ var (
 	// Fig15 compares minimal vs UGAL routing (Fig. 15).
 	Fig15 = exp.Env{}.Fig15
 	// Fig16 compares sliced topologies' performance and energy
-	// (Fig. 16 and Fig. 17 share these runs).
+	// (Fig. 16 and Fig. 17 share these runs); nil workloads run
+	// BP, KMN, BFS, SRAD, FWT and CP, as cmd/experiments does.
 	Fig16 = exp.Env{}.Fig16
 	// Fig18 compares UMN designs for host-thread latency (Fig. 18).
 	Fig18 = exp.Env{}.Fig18

@@ -52,22 +52,3 @@ func TestWorkloadsListedAndRunnable(t *testing.T) {
 		}
 	}
 }
-
-func TestFig12ExportedMatchesPaper(t *testing.T) {
-	rows, err := memnet.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		switch r.GPUs {
-		case 4:
-			if r.Reduction != 0.5 {
-				t.Fatalf("4-GPU reduction %v, want 0.50", r.Reduction)
-			}
-		case 8:
-			if r.Reduction < 0.42 || r.Reduction > 0.44 {
-				t.Fatalf("8-GPU reduction %v, want ~0.43", r.Reduction)
-			}
-		}
-	}
-}
