@@ -8,7 +8,7 @@
 //	memnetsim -arch UMN -workload CG.S -overlay -traffic
 //	memnetsim -arch UMN -workload BP -trace run.trace.json -metrics run.csv
 //	memnetsim -arch UMN -workload BP -profile run.profile.json
-//	memnetsim -arch UMN -workload BP -fault-links 2 -fault-gpus 1 -audit
+//	memnetsim -arch UMN -workload BP -fault-links 2 -fault-gpus 1 -fault-horizon 10us -audit
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	auditFlag := flag.Bool("audit", false, "check conservation invariants at every phase boundary (results are byte-identical either way)")
 	faultsFile := flag.String("faults", "", "JSON fault-injection schedule (see internal/fault; empty = no faults)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for generated fault schedules and auto link picks")
-	faultHorizon := flag.String("fault-horizon", "", "window generated faults are drawn from, e.g. 100us (default 1ms)")
+	faultHorizon := flag.String("fault-horizon", "", "window generated faults are drawn from, e.g. 100us (default 1ms); a fault drawn past the end of the run never fires")
 	faultTransients := flag.Int("fault-transients", 0, "generate N transient link-error bursts")
 	faultLinks := flag.Int("fault-links", 0, "permanently fail N survivable link pairs")
 	faultGPUs := flag.Int("fault-gpus", 0, "fail-stop N GPUs mid-run")
