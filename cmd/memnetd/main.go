@@ -23,11 +23,11 @@
 //	curl -sS localhost:8844/v1/jobs/<id>/profile   # with -profile
 //	curl -sS -X DELETE localhost:8844/v1/jobs/<id> # cancel (cooperative)
 //
-// With -cache-dir set the server also keeps a durable job journal under
-// <cache-dir>/journal and recovers queued/interrupted jobs after a crash
-// or kill -9 (disable with -journal=false). -max-run caps any one job's
-// wall-clock run time; -max-queue-delay sheds submissions with 503 +
-// Retry-After once the estimated wait exceeds the bound.
+// With -cache-dir set the server also keeps each queued or running job as
+// a verified entry under <cache-dir>/pending and recovers those jobs after
+// a crash or kill -9. -max-run caps any one job's wall-clock run time;
+// -max-queue-delay sheds submissions with 503 + Retry-After once the
+// estimated wait exceeds the bound.
 //
 // Watch it work:
 //
@@ -67,12 +67,11 @@ func main() {
 	addr := flag.String("addr", "localhost:8844", "listen address")
 	adminAddr := flag.String("admin", "", "admin listen address for pprof + metrics (empty = disabled)")
 	queueCap := flag.Int("queue-cap", 64, "max queued jobs before submissions are rejected")
-	cacheDir := flag.String("cache-dir", "", "persist results in this directory (content-addressed; empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "persist results, and queued jobs for crash recovery, in this directory (content-addressed; empty = memory only)")
 	parFlag := flag.Int("par", 0, "worker-pool width per job (0 = MEMNET_PAR env or CPU count)")
 	auditFlag := flag.Bool("audit", false, "check conservation invariants in every served run (results are byte-identical either way)")
 	profileFlag := flag.Bool("profile", false, "collect a latency-attribution profile per run, served at /v1/jobs/{id}/profile (results are byte-identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "max wall-clock time to wait for the in-flight job at shutdown")
-	journalFlag := flag.Bool("journal", true, "with -cache-dir: keep a durable job journal and recover queued/interrupted jobs after a crash")
 	maxQueueDelay := flag.Duration("max-queue-delay", 0, "shed submissions with 503 + Retry-After once the estimated queue wait exceeds this (0 = disabled)")
 	maxRun := flag.Duration("max-run", 0, "cancel any job running longer than this wall-clock time (0 = no ceiling)")
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		QueueCap:      *queueCap,
 		CacheDir:      *cacheDir,
-		NoJournal:     !*journalFlag,
 		MaxQueueDelay: *maxQueueDelay,
 		MaxRunTime:    *maxRun,
 		Logger:        lg,
@@ -121,7 +119,6 @@ func main() {
 	}
 	lg.Info("listening", "addr", *addr, "admin", orNone(*adminAddr),
 		"queue_cap", *queueCap, "par", par.Parallelism(), "cache", orMemory(*cacheDir),
-		"journal", *cacheDir != "" && *journalFlag,
 		"max_queue_delay", orUnbounded(*maxQueueDelay), "max_run", orUnbounded(*maxRun))
 
 	sigCh := make(chan os.Signal, 1)

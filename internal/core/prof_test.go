@@ -85,7 +85,7 @@ func TestProfileContents(t *testing.T) {
 	if count == 0 {
 		t.Fatal("profile retired no packets")
 	}
-	if got := sys.Network().Stats.PacketsDelivered.Value(); got != count {
+	if got := sys.Network().Stats.Latency.Count(); got != count {
 		t.Fatalf("profile counted %d packets, network delivered %d", count, got)
 	}
 	if len(p.Net.Routers) == 0 || len(p.Net.Channels) == 0 {

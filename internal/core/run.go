@@ -403,8 +403,8 @@ func (s *System) collect(res *Result) {
 	p.FlitBytes = s.cfg.Net.FlitBytes
 	res.NetActiveJ, res.NetIdleJ = p.Split(busy, total)
 	res.NetEnergyJ = res.NetActiveJ + res.NetIdleJ
-	res.AvgPktLatency = sim.Time(s.net.Stats.Latency.Value())
-	res.P99PktLatency = sim.Time(s.net.Stats.LatencyHist.Percentile(99))
+	res.AvgPktLatency = sim.Time(s.net.Stats.Latency.MeanValue())
+	res.P99PktLatency = sim.Time(s.net.Stats.Latency.Percentile(99))
 	res.AvgHops = s.net.Stats.Hops.Value()
 	res.AvgPassHops = s.net.Stats.PassHops.Value()
 	res.RouterChannels = s.net.NumRouterChannels() / 2

@@ -436,13 +436,13 @@ func (r *Fig14Result) String() string {
 	fmt.Fprintln(&b, "Fig. 14 — runtime breakdown (us): memcpy(H2D+D2H) + kernel + host")
 	fmt.Fprintf(&b, "%-6s", "")
 	for _, c := range r.Rows[0].Cells {
-		fmt.Fprintf(&b, " %18s", c.Arch)
+		fmt.Fprintf(&b, " %22s", c.Arch)
 	}
 	fmt.Fprintln(&b)
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-6s", row.Workload)
 		for _, c := range row.Cells {
-			fmt.Fprintf(&b, " %7.0f+%6.0f=%4.0fk", us(c.H2D+c.D2H), us(c.Kernel+c.Host), us(c.Total)/1000)
+			fmt.Fprintf(&b, " %7.0f+%6.0f=%7.0f", us(c.H2D+c.D2H), us(c.Kernel+c.Host), us(c.Total))
 		}
 		fmt.Fprintln(&b)
 	}

@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"memnet/internal/sim"
 )
 
 func TestFig12MatchesPaper(t *testing.T) {
@@ -57,6 +59,21 @@ func TestFig7SmallScale(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "Fig. 7") {
 		t.Fatal("rendering broken")
+	}
+}
+
+// TestFig14StringPrintsTotals renders a hand-built result: each total is
+// printed in µs like its two terms, under a header as wide as its cell.
+func TestFig14StringPrintsTotals(t *testing.T) {
+	us := sim.Microsecond
+	r := &Fig14Result{Rows: []Fig14Row{{Workload: "BP", Cells: []Fig14Cell{
+		{Arch: "PCIe", H2D: 120 * us, D2H: 81 * us, Kernel: 100 * us, Host: 14 * us, Total: 315 * us},
+		{Arch: "UMN", Kernel: 9 * us, Total: 9 * us},
+	}}}}
+	want := "\n                         PCIe                    UMN\n" +
+		"BP         201+   114=    315       0+     9=      9\n"
+	if got := r.String(); !strings.Contains(got, want) {
+		t.Fatalf("Fig. 14 table renders as\n%s\nwant rows%s", got, want)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestLoadFileMissing(t *testing.T) {
 }
 
 func TestLoadFileTruncated(t *testing.T) {
-	// A partially-written file — the crash shape a journal-keeping server
+	// A partially-written file — the crash shape a crash-tolerant server
 	// must also survive. Error out, never return the readable prefix.
 	_, err := LoadFile(writeSchedule(t, `{"seed":3,"events":[{"at":200,"kind":"link_d`))
 	if err == nil {

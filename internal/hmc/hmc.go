@@ -103,10 +103,6 @@ type HMC struct {
 	// so that scheduling it allocates nothing.
 	finish func(any)
 
-	// completed counts requests whose access completed; the audit balances
-	// it against submissions and requests still queued or in service.
-	completed int64
-
 	Stats Stats
 }
 
@@ -189,8 +185,9 @@ func (h *HMC) VaultFailed(v int) bool {
 }
 
 // Completed returns how many requests have finished service — a monotone
-// progress signal for system-level watchdogs.
-func (h *HMC) Completed() int64 { return h.completed }
+// progress signal for system-level watchdogs. Each completion adds one
+// Stats.Service sample.
+func (h *HMC) Completed() int64 { return h.Stats.Service.Count() }
 
 // QueuedRequests returns the total requests waiting or in service.
 func (h *HMC) QueuedRequests() int {
@@ -230,9 +227,9 @@ func (h *HMC) Instrument(p obs.Probe, name string) {
 					}
 				}
 			}
-			if submitted != h.completed+queued+inService {
+			if completed := h.Completed(); submitted != completed+queued+inService {
 				report(fmt.Sprintf("request conservation: %d submitted != %d completed + %d queued + %d in service",
-					submitted, h.completed, queued, inService))
+					submitted, completed, queued, inService))
 			}
 		})
 	}
@@ -380,7 +377,6 @@ func (v *vault) issue() {
 func (h *HMC) complete(req *mem.Req) {
 	v := &h.vaults[req.Loc.Vault]
 	v.inService--
-	h.completed++
 	h.Stats.Service.Add(float64(h.eng.Now() - req.Arrive))
 	v.traceQueueDepth()
 	h.Respond(req)

@@ -196,13 +196,12 @@ func (f flit) tail() bool { return f.idx == f.pkt.Size-1 }
 
 // Stats aggregates network-wide measurements.
 type Stats struct {
-	PacketsDelivered stats.Counter
-	FlitsDelivered   stats.Counter
-	Latency          stats.Mean      // packet latency in ps (creation to delivery)
-	LatencyHist      stats.Histogram // same, bucketed (for percentiles)
-	Hops             stats.Mean
-	PassHops         stats.Mean
-	Traffic          *stats.Matrix // [terminal][router] flit counts, both directions
+	// Latency holds one sample per delivered packet: its latency in ps,
+	// creation to delivery. Latency.Count() is the packets delivered.
+	Latency  stats.Histogram
+	Hops     stats.Mean
+	PassHops stats.Mean
+	Traffic  *stats.Matrix // [terminal][router] flit counts, both directions
 }
 
 // Network is a complete interconnect instance.
@@ -526,10 +525,7 @@ func (n *Network) finish(pkt *Packet) {
 		n.prof.Retire(pkt.prof, pkt.Class, int64(pkt.CreatedAt), int64(pkt.DeliveredAt))
 		pkt.prof = nil
 	}
-	n.Stats.PacketsDelivered.Inc()
-	n.Stats.FlitsDelivered.Add(int64(pkt.Size))
-	n.Stats.Latency.Add(float64(pkt.DeliveredAt - pkt.CreatedAt))
-	n.Stats.LatencyHist.Add(int64(pkt.DeliveredAt - pkt.CreatedAt))
+	n.Stats.Latency.Add(int64(pkt.DeliveredAt - pkt.CreatedAt))
 	n.Stats.Hops.Add(float64(pkt.Hops))
 	n.Stats.PassHops.Add(float64(pkt.passHops))
 	n.active-- // one unit per undelivered packet

@@ -211,7 +211,7 @@ func TestRandomTrafficAllDelivered(t *testing.T) {
 		if !b.Net.Quiescent() {
 			t.Errorf("%v: not quiescent", k)
 		}
-		if got := b.Net.Stats.PacketsDelivered.Value(); got != 600 {
+		if got := b.Net.Stats.Latency.Count(); got != 600 {
 			t.Errorf("%v: delivered = %d, want 600", k, got)
 		}
 	}

@@ -91,7 +91,7 @@ func TestProfStageSumExact(t *testing.T) {
 	if stagePS != totalPS {
 		t.Fatalf("stage sum %d ps != end-to-end sum %d ps", stagePS, totalPS)
 	}
-	if got := n.Stats.PacketsDelivered.Value(); got != count {
+	if got := n.Stats.Latency.Count(); got != count {
 		t.Fatalf("profiler retired %d packets, network delivered %d", count, got)
 	}
 	if got := int64(n.Stats.Latency.Sum()); got != totalPS {
@@ -119,7 +119,7 @@ func TestProfOnMatchesOff(t *testing.T) {
 		}
 		n := buildClosedLoop(t, eng, np)
 		eng.RunUntil(15000 * n.Clock().Period())
-		return n.Stats.PacketsDelivered.Value(), n.Stats.FlitsDelivered.Value(),
+		return n.Stats.Latency.Count(), n.FlitsRetired(),
 			n.Stats.Latency.Sum(), n.Cycle()
 	}
 	p1, f1, l1, c1 := run(false)

@@ -1,10 +1,12 @@
 // Package cachedir is a content-addressed blob store on disk: the result
-// cache behind memnetd's -cache-dir flag. Keys are lowercase hex SHA-256
-// digests of the canonical job spec; values are the rendered experiment
-// results. Writes are atomic (temp file + rename) and durable (the file
-// and its parent directory are fsync'd), so a crashed or killed server —
-// or a power loss right after the rename — never leaves a truncated or
-// unlinked result that a later process would serve as authoritative.
+// cache behind memnetd's -cache-dir flag, and the store of its queued jobs
+// under <cache-dir>/pending. Keys are lowercase hex SHA-256 digests of the
+// canonical job spec; values are the rendered experiment results, or the
+// queued jobs' entries. Writes and deletes are atomic (temp file + rename,
+// unlink) and durable (the file and its parent directory are fsync'd), so
+// a crashed or killed server — or a power loss right after the rename —
+// never leaves a truncated or unlinked blob that a later process would
+// trust as authoritative.
 //
 // Reads are verified: every blob is framed with a header recording the
 // SHA-256 of its body, and Get recomputes and compares the digest before
@@ -235,7 +237,29 @@ func (s *Store) Put(key string, data []byte) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry's name is durable.
+// Delete removes the blob stored under key, durably: the parent directory
+// is fsync'd after the unlink, so a deleted entry stays deleted across a
+// power loss. Deleting an absent key is not an error.
+func (s *Store) Delete(key string) error {
+	if err := checkKey(key); err != nil {
+		s.met.Errors.Inc()
+		return err
+	}
+	if err := os.Remove(s.path(key)); os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		s.met.Errors.Inc()
+		return fmt.Errorf("cachedir: %w", err)
+	}
+	if err := syncDir(filepath.Dir(s.path(key))); err != nil {
+		s.met.Errors.Inc()
+		return fmt.Errorf("cachedir: fsync: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory so a just-renamed or unlinked entry's name
+// is durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -263,29 +287,30 @@ func isFanout(name string) bool {
 	return true
 }
 
-// Len counts the stored blobs (a stats/debugging helper, not a hot path).
-// Only the two-hex fan-out directories are counted: quarantined blobs and
-// any sibling state another layer keeps under the store's root (e.g. the
-// serve journal) are not cache entries.
-func (s *Store) Len() (int, error) {
-	n := 0
-	entries, err := os.ReadDir(s.dir)
+// Keys lists the stored keys in lexical order (a recovery and debugging
+// helper, not a hot path). Only blobs named by their key inside its
+// fan-out directory count: temp files, quarantined blobs and any sibling
+// state another layer keeps under the store's root (e.g. memnetd's
+// pending store beside its results) are not entries.
+func (s *Store) Keys() ([]string, error) {
+	var keys []string
+	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, fmt.Errorf("cachedir: %w", err)
+		return nil, fmt.Errorf("cachedir: %w", err)
 	}
-	for _, e := range entries {
-		if !e.IsDir() || !isFanout(e.Name()) {
+	for _, d := range dirs {
+		if !d.IsDir() || !isFanout(d.Name()) {
 			continue
 		}
-		blobs, err := os.ReadDir(filepath.Join(s.dir, e.Name()))
+		blobs, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
 		if err != nil {
-			return 0, fmt.Errorf("cachedir: %w", err)
+			return nil, fmt.Errorf("cachedir: %w", err)
 		}
 		for _, b := range blobs {
-			if !b.IsDir() && b.Name()[0] != '.' {
-				n++
+			if name := b.Name(); !b.IsDir() && checkKey(name) == nil && name[:2] == d.Name() {
+				keys = append(keys, name)
 			}
 		}
 	}
-	return n, nil
+	return keys, nil
 }

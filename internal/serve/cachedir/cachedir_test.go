@@ -31,8 +31,15 @@ func TestRoundTrip(t *testing.T) {
 	if string(got) != want {
 		t.Fatalf("Get = %q, want %q", got, want)
 	}
-	if n, err := st.Len(); err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v, want 1", n, err)
+	if keys, err := st.Keys(); err != nil || len(keys) != 1 || keys[0] != key {
+		t.Fatalf("Keys = %v, %v, want [%s]", keys, err, key)
+	}
+	// Deleting twice is fine: the second finds nothing to remove.
+	if err, again := st.Delete(key), st.Delete(key); err != nil || again != nil {
+		t.Fatalf("Delete = %v, then %v", err, again)
+	}
+	if _, ok, err := st.Get(key); err != nil || ok {
+		t.Fatalf("Get after Delete: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -79,6 +86,9 @@ func TestBadKeys(t *testing.T) {
 		}
 		if _, _, err := st.Get(key); err == nil {
 			t.Errorf("Get accepted bad key %q", key)
+		}
+		if err := st.Delete(key); err == nil {
+			t.Errorf("Delete accepted bad key %q", key)
 		}
 	}
 }
@@ -134,8 +144,8 @@ func TestCorruptionQuarantined(t *testing.T) {
 	if err != nil || !ok || string(got) != want {
 		t.Fatalf("repaired blob: %q ok=%v err=%v", got, ok, err)
 	}
-	if n, err := st.Len(); err != nil || n != 1 {
-		t.Fatalf("Len after quarantine+repair = %d, %v, want 1 (quarantine must not count)", n, err)
+	if keys, err := st.Keys(); err != nil || len(keys) != 1 {
+		t.Fatalf("Keys after quarantine+repair = %v, %v, want 1 (quarantine must not count)", keys, err)
 	}
 }
 
@@ -190,8 +200,9 @@ func TestTruncatedBlobQuarantined(t *testing.T) {
 	}
 }
 
-// TestLenSkipsSiblingState: files other layers keep under the store root
-// (the serve journal, quarantined blobs, dotfiles) are not cache entries.
+// TestLenSkipsSiblingState: the number of keys counts entries only. State
+// other layers keep under the store root (a nested store, quarantined
+// blobs, temp files, strays) is not an entry.
 func TestLenSkipsSiblingState(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -201,16 +212,20 @@ func TestLenSkipsSiblingState(t *testing.T) {
 	if err := st.Put(validKey(5), []byte("blob")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+	nested, err := Open(filepath.Join(dir, "pending"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "journal", "wal.jsonl"), []byte("{}\n"), 0o644); err != nil {
+	if err := nested.Put(validKey(0), []byte("entry")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "stray.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
+	fan := filepath.Join(dir, validKey(5)[:2])
+	for _, stray := range []string{filepath.Join(dir, "stray.txt"), filepath.Join(fan, ".tmp-1"), filepath.Join(fan, validKey(0))} {
+		if err := os.WriteFile(stray, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n, err := st.Len(); err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v, want 1", n, err)
+	if keys, err := st.Keys(); err != nil || len(keys) != 1 {
+		t.Fatalf("Keys = %v, %v, want 1", keys, err)
 	}
 }

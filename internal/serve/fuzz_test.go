@@ -9,11 +9,11 @@ import (
 )
 
 // FuzzJobSpec feeds arbitrary request bodies through the job-spec path the
-// HTTP handlers use: decodeSpec, then Canonicalize. Journal replay decodes
-// a stored canonical spec, canonicalizes it again and checks its key, so
-// for every accepted spec a second Canonicalize must change nothing and a
-// JSON round trip must keep the key. The seed corpus is under
-// testdata/fuzz/FuzzJobSpec.
+// HTTP handlers use: decodeSpec, then Canonicalize. Restart recovery
+// decodes a stored canonical spec, canonicalizes it again and checks its
+// key against the entry's, so for every accepted spec a second
+// Canonicalize must change nothing and a JSON round trip must keep the
+// key. The seed corpus is under testdata/fuzz/FuzzJobSpec.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))

@@ -200,7 +200,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp["error"] = j.errMsg
 	}
 	if j.recovered {
-		// Revived or re-queued by journal replay after a restart.
+		// Revived or re-queued by restart recovery.
 		resp["recovered"] = true
 	}
 	s.mu.Unlock()

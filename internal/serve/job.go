@@ -190,9 +190,12 @@ type job struct {
 	// its exp.Env; DELETE /v1/jobs/{id} and deadline expiry trip it, and
 	// the sweep unwinds at the next engine-event boundary.
 	stop *sim.Stop
-	// recovered marks a job revived or re-queued by journal replay after
-	// a restart, so operators can tell a recovered result from a fresh one.
+	// recovered marks a job revived or re-queued by restart recovery, so
+	// operators can tell a recovered result from a fresh one.
 	recovered bool
+	// seq is the job's submission number, kept in its pending entry so a
+	// restart re-queues jobs in submission order.
+	seq uint64
 
 	result string // rendered experiment text (terminal state "done")
 	errMsg string // terminal states "failed" and "cancelled" (the reason)

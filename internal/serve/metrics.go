@@ -12,10 +12,9 @@ import (
 // from clients beyond the cap is aggregated into client="_other".
 const maxClientSeries = 32
 
-// serveMetrics is the server's wall-clock instrumentation. Every field is
-// nil when the server was built without a Registry — the telemetry
-// package's nil receivers make each call site a no-op — so the serving
-// hot path never branches on "is telemetry on".
+// serveMetrics is the server's wall-clock instrumentation and the one
+// ledger of its counts: Stats reads them back. The server always holds a
+// registry (its own when Config.Metrics is nil), so every field is set.
 type serveMetrics struct {
 	reg *telemetry.Registry
 
@@ -33,9 +32,9 @@ type serveMetrics struct {
 	jobsFailed    *telemetry.Counter
 	jobsAborted   *telemetry.Counter
 	jobsCancelled *telemetry.Counter // cancel API or deadline expiry
-	recoveredJobs *telemetry.Counter // jobs revived/re-queued by journal replay
+	recoveredJobs *telemetry.Counter // jobs revived/re-queued by restart recovery
 	shedRequests  *telemetry.Counter // submissions shed by admission control
-	journalErrors *telemetry.Counter // WAL append/compaction failures
+	pendingErrors *telemetry.Counter // pending-entry write/delete failures (metric keeps its journal name)
 	subscribers   *telemetry.Gauge   // live event-stream followers
 	draining      *telemetry.Gauge   // 0/1
 	runningJobs   *telemetry.Gauge   // 0/1 (dispatch is serial)
@@ -44,14 +43,11 @@ type serveMetrics struct {
 	otherClients *telemetry.Gauge            // aggregate beyond the cap
 }
 
-// newServeMetrics registers the server's metric families on reg (nil reg
-// yields an all-disabled instance) and wires the process-wide pool and
-// per-running-job progress readings as scrape-time callbacks on s.
+// newServeMetrics registers the server's metric families on reg and wires
+// the process-wide pool and per-running-job progress readings as
+// scrape-time callbacks on s.
 func newServeMetrics(reg *telemetry.Registry, s *Server) *serveMetrics {
 	m := &serveMetrics{reg: reg}
-	if reg == nil {
-		return m
-	}
 	m.queueDepth = reg.Gauge("memnetd_queue_depth", "jobs admitted and waiting to run")
 	m.queuedTotal = reg.Counter("memnetd_queued_jobs_total", "jobs admitted to the queue since start")
 	m.cacheHitMem = reg.Counter("memnetd_cache_hits_total", "submissions answered without a fresh simulation", "tier", "memory")
@@ -66,9 +62,9 @@ func newServeMetrics(reg *telemetry.Registry, s *Server) *serveMetrics {
 	m.jobsFailed = reg.Counter("memnetd_jobs_total", "jobs reaching a terminal state", "state", "failed")
 	m.jobsAborted = reg.Counter("memnetd_jobs_total", "jobs reaching a terminal state", "state", "aborted")
 	m.jobsCancelled = reg.Counter("memnetd_jobs_total", "jobs reaching a terminal state", "state", "cancelled")
-	m.recoveredJobs = reg.Counter("memnetd_recovered_jobs_total", "jobs revived or re-queued by journal replay after a restart")
+	m.recoveredJobs = reg.Counter("memnetd_recovered_jobs_total", "jobs revived or re-queued from pending entries after a restart")
 	m.shedRequests = reg.Counter("memnetd_shed_requests_total", "submissions shed by admission control (estimated queue delay too high)")
-	m.journalErrors = reg.Counter("memnetd_journal_errors_total", "job-journal append or compaction failures")
+	m.pendingErrors = reg.Counter("memnetd_journal_errors_total", "pending-entry write or delete failures (durability only)")
 	m.subscribers = reg.Gauge("memnetd_event_subscribers", "live progress-stream subscribers")
 	m.draining = reg.Gauge("memnetd_draining", "1 while the server is shutting down")
 	m.runningJobs = reg.Gauge("memnetd_running_jobs", "jobs currently executing (0 or 1)")
@@ -103,12 +99,8 @@ func newServeMetrics(reg *telemetry.Registry, s *Server) *serveMetrics {
 	return m
 }
 
-// diskCounters returns the cachedir instrumentation hooks (all nil when
-// telemetry is off).
+// diskCounters returns the result store's cachedir instrumentation hooks.
 func (m *serveMetrics) diskCounters() cachedir.Counters {
-	if m.reg == nil {
-		return cachedir.Counters{}
-	}
 	return cachedir.Counters{
 		Hits:        m.reg.Counter("memnetd_disk_cache_hits_total", "disk cache blobs found"),
 		Misses:      m.reg.Counter("memnetd_disk_cache_misses_total", "disk cache lookups that found nothing"),
@@ -123,9 +115,6 @@ func (m *serveMetrics) diskCounters() cachedir.Counters {
 // mutation; creating a gauge takes the registry lock briefly, which is
 // safe because exposition never holds it while reading gauges.
 func (m *serveMetrics) setClientQueuesLocked(queue map[string][]*job) {
-	if m.reg == nil {
-		return
-	}
 	other := int64(0)
 	for c, q := range queue {
 		g, ok := m.clients[c]

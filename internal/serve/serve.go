@@ -35,14 +35,16 @@
 //
 // # Crash tolerance
 //
-// With a cache directory configured the server also keeps a durable job
-// journal (<cache-dir>/journal/wal.jsonl): an fsync'd JSON-lines WAL of
-// every job lifecycle transition. A restarted server replays it before
-// accepting traffic — jobs whose results already landed in the disk cache
-// are revived as done, and jobs that were queued or running when the
-// process died (kill -9 included) are re-queued and run again. Cancelled
-// jobs are cooperative: the running sweep polls a stop latch between
-// engine events and unwinds within one watchdog interval.
+// With a cache directory configured every admitted job is also one entry
+// in a second verified store, <cache-dir>/pending, written atomically and
+// durably like a result blob: rewritten once as started at dispatch, and
+// deleted when the job reaches a terminal state. A restarted server reads
+// the entries in submission order before accepting traffic — jobs whose
+// results already landed in the disk cache are revived as done, and jobs
+// that were queued or running when the process died (kill -9 included)
+// are re-queued and run again. Cancelled jobs are cooperative: the
+// running sweep polls a stop latch between engine events and unwinds
+// within one watchdog interval.
 //
 // Telemetry is wall-clock and strictly passive: the simulated-time
 // observability in internal/obs pins byte-identical results on/off, and
@@ -60,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -127,12 +130,10 @@ type Config struct {
 	// Default 64.
 	QueueCap int
 	// CacheDir, when non-empty, persists results on disk so a restarted
-	// server still dedupes against everything it ever computed, and (unless
-	// NoJournal) enables the durable job journal and restart recovery.
+	// server still dedupes against everything it ever computed, and keeps
+	// every queued or running job under <CacheDir>/pending so a restarted
+	// server recovers it.
 	CacheDir string
-	// NoJournal disables the job journal even with CacheDir set: results
-	// still persist, but queued/running jobs do not survive a crash.
-	NoJournal bool
 	// MaxQueueDelay enables admission control: a submission whose
 	// estimated wait (recent mean run duration × jobs ahead of it) exceeds
 	// this bound is shed with an OverloadError instead of queued. Zero
@@ -157,8 +158,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the server's wall-clock telemetry
 	// (queue depth, cache hits, latency histograms, per-job progress
 	// rates) and is exposed as GET /metrics on the server's handler.
-	// Nil disables telemetry at zero cost: the instrumented call sites
-	// hold nil metrics, whose methods no-op allocation-free.
+	// Nil keeps the same counters in a private registry that only Stats
+	// reads.
 	Metrics *telemetry.Registry
 }
 
@@ -172,7 +173,7 @@ type Stats struct {
 	Shed           int64 `json:"shed_requests"`   // submissions shed by admission control (estimated delay too high)
 	Failed         int64 `json:"jobs_failed"`
 	Cancelled      int64 `json:"jobs_cancelled"`    // cancel API or deadline expiry
-	Recovered      int64 `json:"recovered_jobs"`    // jobs revived or re-queued by journal replay
+	Recovered      int64 `json:"recovered_jobs"`    // jobs revived or re-queued by restart recovery
 	Corruptions    int64 `json:"cache_corruptions"` // disk-cache blobs quarantined after failing verification
 	Queued         int   `json:"queued"`
 	Running        int   `json:"running"`
@@ -201,7 +202,10 @@ type Server struct {
 	lg   *slog.Logger
 	met  *serveMetrics
 	disk *cachedir.Store
-	mux  *http.ServeMux
+	// pending holds one entry per queued or running job (nil without a
+	// cache dir).
+	pending *cachedir.Store
+	mux     *http.ServeMux
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -217,11 +221,10 @@ type Server struct {
 	queuedN  int
 	running  *job
 	draining bool
-	stats    Stats
-	// jl is the durable job journal (nil without a cache dir or with
-	// NoJournal); runEWMA is the moving average of run durations in
-	// seconds that admission control projects queue delay from.
-	jl      *journal
+	// seq is the last submission number handed out; runEWMA is the
+	// moving average of run durations in seconds that admission control
+	// projects queue delay from.
+	seq     uint64
 	runEWMA float64
 
 	dispatcherDone chan struct{}
@@ -246,7 +249,13 @@ func New(cfg Config) (*Server, error) {
 		dispatcherDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.met = newServeMetrics(cfg.Metrics, s)
+	reg := cfg.Metrics
+	if reg == nil {
+		// Stats reads the counters, so the server always keeps them; only
+		// a caller's registry is exposed at /metrics.
+		reg = telemetry.NewRegistry()
+	}
+	s.met = newServeMetrics(reg, s)
 	if cfg.CacheDir != "" {
 		disk, err := cachedir.Open(cfg.CacheDir)
 		if err != nil {
@@ -254,14 +263,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		disk.Instrument(s.met.diskCounters())
 		s.disk = disk
-	}
-	if s.disk != nil && !cfg.NoJournal {
-		jl, err := openJournal(filepath.Join(cfg.CacheDir, "journal"))
-		if err != nil {
+		// Uninstrumented: the disk-cache counters count results only.
+		if s.pending, err = cachedir.Open(filepath.Join(cfg.CacheDir, "pending")); err != nil {
 			return nil, err
 		}
-		s.jl = jl
-		// Recover before the dispatcher starts: replayed jobs must be in
+		// Recover before the dispatcher starts: recovered jobs must be in
 		// the queue before anything else can be picked.
 		s.recover()
 	}
@@ -270,44 +276,71 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the journal left by a previous process and rebuilds the
-// queue: jobs whose result is already in the disk cache are revived as
+// pendingEntry is the body of a job's entry in the pending store: its
+// place in submission order, whether the dispatcher had handed it to the
+// runner, and the canonical spec to run it again from.
+type pendingEntry struct {
+	Seq     uint64   `json:"seq"`
+	Started bool     `json:"started"`
+	Spec    *JobSpec `json:"spec"`
+}
+
+// recover rebuilds the queue from the pending entries a previous process
+// left: jobs whose result is already in the disk cache are revived as
 // done, everything else — queued or interrupted mid-run — is re-queued in
-// original submission order. The WAL is then compacted down to the live
-// set. Damage never aborts startup: replay trusts the valid prefix and
-// recovery proceeds with whatever it names.
+// original submission order. Damage never aborts startup: an entry the
+// store quarantines, or that does not decode, drops only its own job.
 func (s *Server) recover() {
-	rr, err := replayJournal(s.jl.path())
-	if err != nil {
-		// An unreadable WAL loses recovery, not service.
-		s.lg.Error("journal replay failed; starting with an empty queue", "err", err)
-		return
-	}
-	if rr.Truncated {
-		s.lg.Warn("journal tail damaged; recovering the valid prefix", "records", rr.Records)
-	}
-	if rr.Skipped > 0 {
-		s.lg.Warn("journal records skipped during replay", "skipped", rr.Skipped)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	keys, err := s.pending.Keys()
+	if err != nil {
+		// An unreadable store loses recovery, not service.
+		s.lg.Error("pending entries unreadable; starting with an empty queue", "err", err)
+		return
+	}
+	type entry struct {
+		key string
+		pendingEntry
+	}
+	var entries []entry
+	for _, key := range keys {
+		e := entry{key: key}
+		body, ok, err := s.pending.Get(key)
+		if ok {
+			if err = json.Unmarshal(body, &e.pendingEntry); err == nil && e.Spec == nil {
+				err = errors.New("no spec")
+			}
+		}
+		if !ok || err != nil {
+			s.lg.Error("pending entry damaged; dropping its job", "job", key, "err", err)
+			s.dropPendingLocked(key)
+			continue
+		}
+		s.seq = max(s.seq, e.Seq)
+		entries = append(entries, e)
+	}
+	sort.Slice(entries, func(a, b int) bool { return entries[a].Seq < entries[b].Seq })
 	revived, requeued := 0, 0
-	for _, rj := range rr.Live {
-		spec := rj.spec
+	for _, e := range entries {
+		spec := e.Spec
 		if err := spec.Canonicalize(); err != nil {
-			s.lg.Error("recovered spec no longer valid; dropping", "job", rj.key, "err", err)
+			s.lg.Error("recovered spec no longer valid; dropping", "job", e.key, "err", err)
+			s.dropPendingLocked(e.key)
 			continue
 		}
 		key := spec.Key()
-		if key != rj.key {
-			// The journalled key does not match the spec it carries —
+		if key != e.key {
+			// The entry's key does not match the spec it carries —
 			// tampering or version skew. The spec is authoritative.
-			s.lg.Warn("recovered job key mismatch; trusting the spec", "journal_key", rj.key, "spec_key", key)
+			s.lg.Warn("recovered job key mismatch; trusting the spec", "entry_key", e.key, "spec_key", key)
+			s.dropPendingLocked(e.key)
 		}
 		if _, dup := s.jobs[key]; dup {
 			continue
 		}
 		j := newJob(spec, key)
+		j.seq = e.Seq
 		j.recovered = true
 		if data, ok, err := s.disk.Get(key); err != nil {
 			s.lg.Error("disk cache read failed during recovery", "job", key, "err", err)
@@ -317,72 +350,52 @@ func (s *Server) recover() {
 			j.result = string(data)
 			close(j.done)
 			s.jobs[key] = j
+			s.dropPendingLocked(key)
 			revived++
 			continue
 		}
+		if key != e.key {
+			s.putPendingLocked(j, e.Started)
+		}
 		s.jobs[key] = j
-		client := spec.Client
-		if client == "" {
-			client = "anonymous"
-		}
-		if len(s.queue[client]) == 0 {
-			s.clients = append(s.clients, client)
-		}
-		s.queue[client] = append(s.queue[client], j)
-		s.queuedN++
-		j.publishLocked(fmt.Sprintf(`{"event":"job_recovered","id":%q,"interrupted":%v}`, key, rj.started))
+		s.enqueueLocked(j)
+		j.publishLocked(fmt.Sprintf(`{"event":"job_recovered","id":%q,"interrupted":%v}`, key, e.Started))
 		requeued++
 	}
-	s.stats.Recovered += int64(revived + requeued)
 	s.met.recoveredJobs.Add(int64(revived + requeued))
 	s.met.queueDepth.Set(int64(s.queuedN))
 	s.met.setClientQueuesLocked(s.queue)
-	if revived+requeued > 0 || rr.Records > 0 {
-		s.lg.Info("journal recovery complete", "revived", revived, "requeued", requeued,
-			"records", rr.Records, "truncated", rr.Truncated)
-	}
-	s.compactLocked()
-}
-
-// journalLocked appends one record to the WAL (no-op without a journal)
-// and compacts once the log has grown past the rewrite threshold. Append
-// failures degrade durability, not service: they are logged and counted,
-// and the server keeps running.
-func (s *Server) journalLocked(rec journalRecord) {
-	if s.jl == nil {
-		return
-	}
-	if err := s.jl.append(rec); err != nil {
-		s.met.journalErrors.Inc()
-		s.lg.Error("journal append failed", "job", rec.Job, "type", rec.Type, "err", err)
-		return
-	}
-	if s.jl.appends >= compactEvery {
-		s.compactLocked()
+	if len(keys) > 0 {
+		s.lg.Info("recovery complete", "revived", revived, "requeued", requeued, "entries", len(keys))
 	}
 }
 
-// compactLocked rewrites the WAL down to the live jobs: a submitted
-// record per queued job (in round-robin pick order) and submitted+started
-// for the in-flight one.
-func (s *Server) compactLocked() {
-	if s.jl == nil {
+// putPendingLocked writes j's pending entry (no-op without a cache dir).
+// Write failures degrade durability, not service: they are logged and
+// counted, and the server keeps running.
+func (s *Server) putPendingLocked(j *job, started bool) {
+	if s.pending == nil {
 		return
 	}
-	var recs []journalRecord
-	if j := s.running; j != nil {
-		recs = append(recs,
-			journalRecord{Type: recSubmitted, Job: j.key, Spec: j.spec},
-			journalRecord{Type: recStarted, Job: j.key})
+	body, err := json.Marshal(pendingEntry{Seq: j.seq, Started: started, Spec: j.spec})
+	if err == nil {
+		err = s.pending.Put(j.key, body)
 	}
-	for _, c := range s.clients {
-		for _, j := range s.queue[c] {
-			recs = append(recs, journalRecord{Type: recSubmitted, Job: j.key, Spec: j.spec})
-		}
+	if err != nil {
+		s.met.pendingErrors.Inc()
+		s.lg.Error("pending entry write failed", "job", j.key, "err", err)
 	}
-	if err := s.jl.rewrite(recs); err != nil {
-		s.met.journalErrors.Inc()
-		s.lg.Error("journal compaction failed", "err", err)
+}
+
+// dropPendingLocked deletes a job's pending entry once nothing is left to
+// recover, with the same failure handling as putPendingLocked.
+func (s *Server) dropPendingLocked(key string) {
+	if s.pending == nil {
+		return
+	}
+	if err := s.pending.Delete(key); err != nil {
+		s.met.pendingErrors.Inc()
+		s.lg.Error("pending entry delete failed", "job", key, "err", err)
 	}
 }
 
@@ -406,11 +419,23 @@ func (s *Server) progressSnapshot() telemetry.ProgressSnapshot {
 	return j.prog.Snapshot()
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, read from the server's
+// telemetry registry.
 func (s *Server) Stats() Stats {
+	m := s.met
+	st := Stats{
+		SimulationsRun: m.runSeconds.Count(),
+		CacheHits:      m.cacheHitMem.Value() + m.cacheHitDisk.Value(),
+		CacheHitsDisk:  m.cacheHitDisk.Value(),
+		Deduped:        m.deduped.Value(),
+		Rejected:       m.rejectedFull.Value(),
+		Shed:           m.shedRequests.Value(),
+		Failed:         m.jobsFailed.Value(),
+		Cancelled:      m.jobsCancelled.Value(),
+		Recovered:      m.recoveredJobs.Value(),
+		Version:        BuildVersion(),
+	}
 	s.mu.Lock()
-	st := s.stats
-	st.Version = BuildVersion()
 	st.Queued = s.queuedN
 	st.Draining = s.draining
 	if s.disk != nil {
@@ -463,10 +488,8 @@ func (s *Server) admit(spec *JobSpec) (*job, bool, error) {
 		case StateDone, StateFailed:
 			// Failed results are cached too: the simulator is
 			// deterministic, so the same spec fails the same way.
-			s.stats.CacheHits++
 			s.met.cacheHitMem.Inc()
 		default:
-			s.stats.Deduped++
 			s.met.deduped.Inc()
 		}
 		return j, true, nil
@@ -480,8 +503,6 @@ func (s *Server) admit(spec *JobSpec) (*job, bool, error) {
 			j.result = string(data)
 			close(j.done)
 			s.jobs[key] = j
-			s.stats.CacheHits++
-			s.stats.CacheHitsDisk++
 			s.met.cacheHitDisk.Inc()
 			return j, true, nil
 		}
@@ -491,7 +512,6 @@ func (s *Server) admit(spec *JobSpec) (*job, bool, error) {
 		return nil, false, ErrDraining
 	}
 	if s.queuedN >= s.cfg.QueueCap {
-		s.stats.Rejected++
 		s.met.rejectedFull.Inc()
 		return nil, false, ErrQueueFull
 	}
@@ -506,29 +526,22 @@ func (s *Server) admit(spec *JobSpec) (*job, bool, error) {
 		}
 		est := time.Duration(s.runEWMA * float64(ahead) * float64(time.Second))
 		if est > s.cfg.MaxQueueDelay {
-			s.stats.Shed++
 			s.met.shedRequests.Inc()
 			s.lg.Info("submission shed", "experiment", spec.Experiment, "estimated_delay", est.Round(time.Second).String())
 			return nil, false, &OverloadError{Estimate: est}
 		}
 	}
 	j := newJob(spec, key)
+	s.seq++
+	j.seq = s.seq
 	s.jobs[key] = j
-	client := spec.Client
-	if client == "" {
-		client = "anonymous"
-	}
-	if len(s.queue[client]) == 0 {
-		s.clients = append(s.clients, client)
-	}
-	s.queue[client] = append(s.queue[client], j)
-	s.queuedN++
+	s.enqueueLocked(j)
 	s.met.cacheMiss.Inc()
 	s.met.queuedTotal.Inc()
 	s.met.queueDepth.Set(int64(s.queuedN))
 	s.met.setClientQueuesLocked(s.queue)
-	s.journalLocked(journalRecord{Type: recSubmitted, Job: key, Spec: spec})
-	s.lg.Info("job queued", "job", key, "experiment", spec.Experiment, "client", client, "queued", s.queuedN)
+	s.putPendingLocked(j, false)
+	s.lg.Info("job queued", "job", key, "experiment", spec.Experiment, "client", clientOf(spec), "queued", s.queuedN)
 	s.cond.Signal()
 	return j, false, nil
 }
@@ -583,18 +596,17 @@ func (s *Server) Cancel(key, reason string) (state string, err error) {
 		}
 		j.state = StateCancelled
 		j.errMsg = reason
-		s.stats.Cancelled++
 		s.met.jobsCancelled.Inc()
 		s.met.queueDepth.Set(int64(s.queuedN))
 		s.met.setClientQueuesLocked(s.queue)
-		s.journalLocked(journalRecord{Type: recCancelled, Job: key, Reason: reason})
+		s.dropPendingLocked(key)
 		j.publishLocked(terminalLine(j))
 		close(j.done)
 		s.lg.Info("job cancelled", "job", key, "experiment", j.spec.Experiment, "reason", reason, "was", StateQueued)
 		return j.state, nil
 	case StateRunning:
 		// Cooperative: execute observes the latch when the sweep unwinds
-		// and writes the terminal state, journal record and counters there.
+		// and writes the terminal state, pending entry and counters there.
 		j.stop.Trip(reason)
 		s.lg.Info("job cancelling", "job", key, "experiment", j.spec.Experiment, "reason", reason)
 		return j.state, nil
@@ -605,13 +617,29 @@ func (s *Server) Cancel(key, reason string) (state string, err error) {
 	}
 }
 
+// clientOf names the queue a spec waits in.
+func clientOf(spec *JobSpec) string {
+	if spec.Client == "" {
+		return "anonymous"
+	}
+	return spec.Client
+}
+
+// enqueueLocked appends a job to its client's FIFO, adding the client to
+// the round-robin order when it had nothing queued.
+func (s *Server) enqueueLocked(j *job) {
+	client := clientOf(j.spec)
+	if len(s.queue[client]) == 0 {
+		s.clients = append(s.clients, client)
+	}
+	s.queue[client] = append(s.queue[client], j)
+	s.queuedN++
+}
+
 // removeQueuedLocked unlinks a queued job from its client's FIFO,
 // maintaining the round-robin cursor. Reports whether the job was found.
 func (s *Server) removeQueuedLocked(target *job) bool {
-	client := target.spec.Client
-	if client == "" {
-		client = "anonymous"
-	}
+	client := clientOf(target.spec)
 	q := s.queue[client]
 	for i, j := range q {
 		if j != target {
@@ -660,7 +688,7 @@ func (s *Server) dispatch() {
 		s.met.setClientQueuesLocked(s.queue)
 		s.met.queueWait.Observe(time.Since(j.queuedAt).Seconds())
 		s.met.runningJobs.Set(1)
-		s.journalLocked(journalRecord{Type: recStarted, Job: j.key})
+		s.putPendingLocked(j, true)
 		j.publishLocked(fmt.Sprintf(`{"event":"job_running","id":%q}`, j.key))
 		s.mu.Unlock()
 
@@ -740,12 +768,9 @@ func (s *Server) execute(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The job stops running before its terminal record is journalled: a
-	// compaction triggered by that record must not write the finished job
-	// back as started, and nothing woken by j.done may still see it run.
+	// Nothing woken by j.done may still see the job run.
 	s.running = nil
 	s.met.runningJobs.Set(0)
-	s.stats.SimulationsRun++
 	if s.runEWMA == 0 {
 		s.runEWMA = elapsed.Seconds()
 	} else {
@@ -756,17 +781,15 @@ func (s *Server) execute(j *job) {
 		// deadline), not because the simulation failed.
 		j.state = StateCancelled
 		j.errMsg = j.stop.Reason()
-		s.stats.Cancelled++
 		s.met.jobsCancelled.Inc()
-		s.journalLocked(journalRecord{Type: recCancelled, Job: j.key, Reason: j.errMsg})
+		s.dropPendingLocked(j.key)
 		s.lg.Info("job cancelled", "job", j.key, "experiment", j.spec.Experiment,
 			"wall_seconds", elapsed.Seconds(), "reason", j.errMsg, "was", StateRunning)
 	} else if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		s.stats.Failed++
 		s.met.jobsFailed.Inc()
-		s.journalLocked(journalRecord{Type: recFailed, Job: j.key})
+		s.dropPendingLocked(j.key)
 		s.lg.Error("job failed", "job", j.key, "experiment", j.spec.Experiment,
 			"wall_seconds", elapsed.Seconds(), "err", err)
 	} else {
@@ -783,9 +806,9 @@ func (s *Server) execute(j *job) {
 				s.lg.Error("disk cache write failed", "job", j.key, "err", derr)
 			}
 		}
-		// Journal done only after the result is durably cached: a crash
-		// between the two re-runs the job instead of losing the result.
-		s.journalLocked(journalRecord{Type: recDone, Job: j.key})
+		// Drop the entry only after the result's Put: a crash between the
+		// two leaves an entry that recovery revives from the cache.
+		s.dropPendingLocked(j.key)
 	}
 	j.publishLocked(terminalLine(j))
 	close(j.done)
@@ -839,10 +862,9 @@ func terminalLine(j *job) string {
 }
 
 // abortQueuedLocked fails every still-queued job with the aborted state
-// (their waiters unblock with a shutdown error). Deliberately not
-// journalled as terminal: an abort only means this process is going away,
-// so the jobs' submitted records stay in the WAL and the next start
-// re-queues them — a graceful drain loses no accepted work.
+// (their waiters unblock with a shutdown error). Their pending entries
+// deliberately stay: an abort only means this process is going away, so
+// the next start re-queues them — a graceful drain loses no accepted work.
 func (s *Server) abortQueuedLocked() {
 	for _, c := range s.clients {
 		for _, j := range s.queue[c] {
@@ -879,12 +901,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.lg.Info("draining", "queued", s.Stats().Queued)
 	select {
 	case <-s.dispatcherDone:
-		s.mu.Lock()
-		if s.jl != nil {
-			s.jl.close()
-			s.jl = nil
-		}
-		s.mu.Unlock()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -84,33 +85,26 @@ func (h *Histogram) Add(v int64) {
 	h.buckets[bucketOf(v)]++
 }
 
+// bucketOf returns v's bucket: its bit length, so [2^(i-1), 2^i) lands
+// in bucket i. A positive int64 has at most 63 bits.
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 64 - leadingZeros64(uint64(v))
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return 64 - bits.LeadingZeros64(uint64(v))
 }
 
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() int64 { return h.mean.Count() }
 
+// Sum returns the total of all samples.
+func (h *Histogram) Sum() float64 { return h.mean.Sum() }
+
 // MeanValue returns the sample mean.
 func (h *Histogram) MeanValue() float64 { return h.mean.Value() }
+
+// Min returns the smallest sample, or 0 with no samples.
+func (h *Histogram) Min() float64 { return h.mean.Min() }
 
 // Max returns the largest sample.
 func (h *Histogram) Max() float64 { return h.mean.Max() }
