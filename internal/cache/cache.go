@@ -107,15 +107,17 @@ type Result struct {
 
 // Cache is a single-level set-associative cache with LRU replacement.
 //
-// Its lines live in one flat array of sets × Ways entries (set s holds
-// lines[s*Ways : (s+1)*Ways]) that is built on the first fill, so a cache
-// that is never filled costs one small allocation. The array holds no
-// pointers, so the garbage collector never scans it. A fresh store is
+// Its lines live in per-way planes: planes[w][s] is way w of set s. A fill
+// takes a set's first invalid way, so way w is needed only once ways 0 to
+// w-1 of some set are valid, and the plane of way w is built then, by that
+// fill. A cache therefore holds only as many ways as its fullest set has
+// used, and one that is never filled holds none. An unbuilt plane is
 // all-invalid, exactly like one built eagerly, so laziness changes no
-// access, eviction or write-back.
+// access, eviction or write-back. The planes hold no pointers, so the
+// garbage collector never scans them.
 type Cache struct {
 	cfg      Config
-	lines    []line // nil until the first fill
+	planes   [][]line // built in way order; nil until the first fill
 	setMask  uint64
 	setBits  uint
 	lineBits uint
@@ -153,23 +155,13 @@ func (c *Cache) index(addr mem.Addr) (set uint64, tag uint64) {
 	return lineAddr & c.setMask, lineAddr >> c.setBits
 }
 
-// ways returns set's lines, or nil while the store is unbuilt.
-func (c *Cache) ways(set uint64) []line {
-	if c.lines == nil {
-		return nil
-	}
-	i := int(set) * c.cfg.Ways
-	return c.lines[i : i+c.cfg.Ways]
-}
-
 // Access performs a read or write of the line containing addr.
 func (c *Cache) Access(addr mem.Addr, write bool) Result {
 	c.tick++
 	set, tag := c.index(addr)
 	key := lineKey(tag)
-	lines := c.ways(set)
-	for i := range lines {
-		if l := &lines[i]; l.key == key {
+	for _, p := range c.planes {
+		if l := &p[set]; l.key == key {
 			l.touch(c.tick)
 			if write {
 				c.Stats.WriteHits.Inc()
@@ -193,12 +185,8 @@ func (c *Cache) Access(addr mem.Addr, write bool) Result {
 	} else {
 		c.Stats.ReadMisses.Inc()
 	}
-	if lines == nil {
-		c.lines = make([]line, int(c.setMask+1)*c.cfg.Ways)
-		lines = c.ways(set)
-	}
 	res := Result{Forward: true, Fill: true}
-	v := &lines[c.victim(lines)]
+	v := c.victim(set)
 	if v.valid() {
 		c.Stats.Evictions.Inc()
 		if v.dirty() {
@@ -218,8 +206,8 @@ func (c *Cache) Access(addr mem.Addr, write bool) Result {
 func (c *Cache) Probe(addr mem.Addr) bool {
 	set, tag := c.index(addr)
 	key := lineKey(tag)
-	for _, l := range c.ways(set) {
-		if l.key == key {
+	for _, p := range c.planes {
+		if p[set].key == key {
 			return true
 		}
 	}
@@ -233,15 +221,14 @@ func (c *Cache) Probe(addr mem.Addr) bool {
 func (c *Cache) Invalidate(addr mem.Addr) (wb mem.Addr, dirty bool) {
 	set, tag := c.index(addr)
 	key := lineKey(tag)
-	lines := c.ways(set)
-	for i := range lines {
-		if lines[i].key == key {
+	for _, p := range c.planes {
+		if l := &p[set]; l.key == key {
 			c.Stats.Invalidates.Inc()
-			dirty = lines[i].dirty()
+			dirty = l.dirty()
 			if dirty {
 				wb = c.lineAddr(set, tag)
 			}
-			lines[i] = line{}
+			*l = line{}
 			return wb, dirty
 		}
 	}
@@ -252,12 +239,18 @@ func (c *Cache) Invalidate(addr mem.Addr) (wb mem.Addr, dirty bool) {
 // order, then way order.
 func (c *Cache) Flush() []mem.Addr {
 	var dirty []mem.Addr
-	for i := range c.lines {
-		if l := &c.lines[i]; l.valid() && l.dirty() {
-			dirty = append(dirty, c.lineAddr(uint64(i/c.cfg.Ways), l.tag()))
+	if c.planes != nil {
+		for set := range c.planes[0] {
+			for _, p := range c.planes {
+				if l := &p[set]; l.valid() && l.dirty() {
+					dirty = append(dirty, c.lineAddr(uint64(set), l.tag()))
+				}
+			}
 		}
 	}
-	clear(c.lines)
+	for _, p := range c.planes {
+		clear(p)
+	}
 	return dirty
 }
 
@@ -265,15 +258,27 @@ func (c *Cache) lineAddr(set, tag uint64) mem.Addr {
 	return mem.Addr((tag<<c.setBits | set) << c.lineBits)
 }
 
-func (c *Cache) victim(lines []line) int {
-	v, oldest := 0, ^uint64(0)
-	for i := range lines {
-		if !lines[i].valid() {
-			return i
+// victim returns the line a fill of set replaces: the set's first invalid
+// way in way order, building that way's plane if it is the first unbuilt
+// one, or else its least recently used way.
+func (c *Cache) victim(set uint64) *line {
+	var v *line
+	oldest := ^uint64(0)
+	for _, p := range c.planes {
+		l := &p[set]
+		if !l.valid() {
+			return l
 		}
-		if lines[i].stamp < oldest {
-			v, oldest = i, lines[i].stamp
+		if l.stamp < oldest {
+			v, oldest = l, l.stamp
 		}
+	}
+	if w := len(c.planes); w < c.cfg.Ways {
+		if c.planes == nil {
+			c.planes = make([][]line, 0, c.cfg.Ways)
+		}
+		c.planes = append(c.planes, make([]line, c.setMask+1))
+		return &c.planes[w][set]
 	}
 	return v
 }

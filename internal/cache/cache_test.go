@@ -232,7 +232,7 @@ func TestNewAllocatesOnlyTheCache(t *testing.T) {
 
 // TestUnbuiltStoreAllocatesNothing checks that lookups, invalidations,
 // flushes and write-no-allocate misses on a never-filled cache see no
-// lines and leave the store unbuilt.
+// lines and build no plane.
 func TestUnbuiltStoreAllocatesNothing(t *testing.T) {
 	for _, cfg := range table1 {
 		c := newCache(t, cfg)
@@ -269,27 +269,29 @@ func TestUnbuiltStoreAllocatesNothing(t *testing.T) {
 				t.Errorf("%+v: %s made %v allocations, want 0", cfg, op.name, allocs)
 			}
 		}
-		if c.lines != nil || c.Stats.Invalidates.Value() != 0 {
-			t.Errorf("%+v: store built or line invalidated without a fill", cfg)
+		if c.planes != nil || c.Stats.Invalidates.Value() != 0 {
+			t.Errorf("%+v: plane built or line invalidated without a fill", cfg)
 		}
 	}
 }
 
-// TestFirstFillBuildsStore checks that the first read miss, or write miss
-// under write-allocate, builds the whole all-invalid store, after which
-// accesses hit, miss and evict as an eagerly built cache does, without
-// allocating.
+// TestFirstFillBuildsStore checks that a fill builds a way's plane only
+// when its set needs that way: the first read miss, or write miss under
+// write-allocate, builds plane 0 alone, all-invalid but for its line, and
+// a conflicting fill in the same set builds plane 1. Once every plane is
+// built, accesses hit, miss and evict without allocating.
 func TestFirstFillBuildsStore(t *testing.T) {
 	for _, write := range []bool{false, true} {
+		// 8 sets of 2 ways: lines 512 B apart share a set.
 		c := newCache(t, Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 2, Policy: WriteBackAllocate})
 		if r := c.Access(0x40, write); r.Hit || !r.Fill || !r.Forward {
 			t.Fatalf("first access (write=%v) = %+v, want miss+fill+forward", write, r)
 		}
-		if len(c.lines) != 16 {
-			t.Fatalf("store has %d lines after the first fill, want 16", len(c.lines))
+		if len(c.planes) != 1 || len(c.planes[0]) != 8 {
+			t.Fatalf("%d planes after the first fill, want 1 of 8 sets", len(c.planes))
 		}
 		valid := 0
-		for _, l := range c.lines {
+		for _, l := range c.planes[0] {
 			if l.valid() {
 				valid++
 			}
@@ -300,10 +302,23 @@ func TestFirstFillBuildsStore(t *testing.T) {
 		if r := c.Access(0x40, false); !r.Hit {
 			t.Fatalf("re-read = %+v, want hit", r)
 		}
+		c.Access(0x80, false) // another set: way 0 is free there
+		if len(c.planes) != 1 {
+			t.Fatalf("%d planes after filling a second set, want 1", len(c.planes))
+		}
+		c.Access(0x40+512, false) // same set as 0x40: needs way 1
+		if len(c.planes) != 2 || !c.Probe(0x40) || !c.Probe(0x40+512) {
+			t.Fatalf("%d planes after a conflicting fill, want 2 holding both lines", len(c.planes))
+		}
 	}
 
 	c := gpuL1(t)
-	c.Access(0, false)
+	for w := 0; w < 4; w++ {
+		c.Access(mem.Addr(w)<<13, false) // set 0, four tags
+	}
+	if len(c.planes) != 4 {
+		t.Fatalf("%d planes after filling every way of a set, want 4", len(c.planes))
+	}
 	rng := rand.New(rand.NewSource(1))
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {

@@ -51,10 +51,10 @@ const maxBankViolations = 4
 // bug; they are recorded on the bank for the audit layer to drain rather
 // than panicking, so timing results are still produced.
 //
-// A bank is 40 bytes and holds no pointer until its first violation, so
-// an HMC keeps its banks in one value array.
+// The zero Bank is closed and idle, so banks are built by allocating
+// them. A bank is 40 bytes and holds no pointer until its first violation.
 type Bank struct {
-	openRow    int64 // -1 when closed
+	open       int64 // the open row plus one; 0 while the bank is precharged
 	actAt      sim.Time
 	colReadyAt sim.Time // earliest next column command (tCCD)
 	preReadyAt sim.Time // earliest next precharge (tWR after writes)
@@ -69,20 +69,15 @@ type violationLog struct {
 	dropped int
 }
 
-// NewBank returns a closed, idle bank.
-func NewBank() Bank {
-	return Bank{openRow: -1}
-}
-
 // OpenRow returns the currently open row, or -1 if the bank is precharged.
-func (b *Bank) OpenRow() int64 { return b.openRow }
+func (b *Bank) OpenRow() int64 { return b.open - 1 }
 
 // Precharge closes the open row (used by refresh, which precharges all
 // banks before the refresh cycle).
-func (b *Bank) Precharge() { b.openRow = -1 }
+func (b *Bank) Precharge() { b.open = 0 }
 
 // RowHit reports whether accessing row would hit the open row buffer.
-func (b *Bank) RowHit(row int64) bool { return b.openRow == row }
+func (b *Bank) RowHit(row int64) bool { return b.open == row+1 }
 
 // illegal records an FSM violation, capped at maxBankViolations.
 func (b *Bank) illegal(msg string) {
@@ -122,12 +117,12 @@ func (b *Bank) TakeViolations() []string {
 // the bank is precharged. PRE to an already-precharged bank is an FSM
 // violation.
 func (b *Bank) PrechargeAt(now sim.Time, t *Timing) sim.Time {
-	if b.openRow < 0 {
+	if b.open <= 0 {
 		b.illegal(fmt.Sprintf("PRE at %d ps to an already-precharged bank", now))
 	}
 	pre := maxTime(now, b.preReadyAt)
 	pre = maxTime(pre, b.actAt+t.cyc(t.RAS))
-	b.openRow = -1
+	b.open = 0
 	return pre + t.cyc(t.RP)
 }
 
@@ -135,11 +130,11 @@ func (b *Bank) PrechargeAt(now sim.Time, t *Timing) sim.Time {
 // (tRCD later). ACT while another row is open is an FSM violation: real
 // DRAM requires an intervening precharge.
 func (b *Bank) ActivateAt(now sim.Time, row int64, t *Timing) sim.Time {
-	if b.openRow >= 0 {
-		b.illegal(fmt.Sprintf("ACT row %d at %d ps while row %d is open", row, now, b.openRow))
+	if b.open > 0 {
+		b.illegal(fmt.Sprintf("ACT row %d at %d ps while row %d is open", row, now, b.OpenRow()))
 	}
 	b.actAt = now
-	b.openRow = row
+	b.open = row + 1
 	return now + t.cyc(t.RCD)
 }
 
@@ -148,12 +143,12 @@ func (b *Bank) ActivateAt(now sim.Time, row int64, t *Timing) sim.Time {
 // issues and when its data completes. A column command to anything but the
 // open row is an FSM violation.
 func (b *Bank) ColumnAt(now sim.Time, row int64, write bool, t *Timing, minCol sim.Time) (issue, done sim.Time) {
-	if b.openRow != row {
+	if !b.RowHit(row) {
 		op := "RD"
 		if write {
 			op = "WR"
 		}
-		b.illegal(fmt.Sprintf("%s row %d at %d ps but open row is %d", op, row, now, b.openRow))
+		b.illegal(fmt.Sprintf("%s row %d at %d ps but open row is %d", op, row, now, b.OpenRow()))
 	}
 	issue = maxTime(now, b.colReadyAt)
 	issue = maxTime(issue, minCol)
@@ -176,9 +171,9 @@ func (b *Bank) ColumnAt(now sim.Time, row int64, write bool, t *Timing, minCol s
 // FSM operations, so an illegal sequence is recorded rather than silently
 // mistimed.
 func (b *Bank) Access(now sim.Time, row int64, write bool, t *Timing, minCol sim.Time) (issue, done sim.Time) {
-	if b.openRow != row {
+	if !b.RowHit(row) {
 		// Precharge (if a row is open), then activate the target row.
-		if b.openRow >= 0 {
+		if b.open > 0 {
 			now = b.PrechargeAt(now, t)
 		}
 		now = b.ActivateAt(now, row, t)

@@ -9,9 +9,23 @@ import (
 
 func tck(n int) sim.Time { return sim.Time(n) * 1250 }
 
+// TestZeroBankIsClosed pins the encoding that lets banks go without a
+// constructor: the zero Bank has no row open, and PRE to it is illegal.
+func TestZeroBankIsClosed(t *testing.T) {
+	var b Bank
+	if b.OpenRow() != -1 || b.RowHit(0) {
+		t.Fatalf("zero bank: open row %d, row 0 hit %v; want closed", b.OpenRow(), b.RowHit(0))
+	}
+	tm := Table1()
+	b.PrechargeAt(0, &tm)
+	if v := b.TakeViolations(); len(v) != 1 {
+		t.Fatalf("PRE to the zero bank: %d violations, want 1 (%v)", len(v), v)
+	}
+}
+
 func TestRowHitReadLatency(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	// First access: closed bank -> activate + read.
 	issue, done := b.Access(0, 7, false, &tm, 0)
 	if issue != tck(tm.RCD) {
@@ -35,7 +49,7 @@ func TestRowHitReadLatency(t *testing.T) {
 
 func TestRowConflictPaysPrechargeAndActivate(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	_, done := b.Access(0, 1, false, &tm, 0)
 	issue, _ := b.Access(done, 2, false, &tm, 0)
 	// Must pay at least tRP + tRCD beyond the request time.
@@ -49,7 +63,7 @@ func TestRowConflictPaysPrechargeAndActivate(t *testing.T) {
 
 func TestTRASConstrainsEarlyPrecharge(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	b.Access(0, 1, false, &tm, 0) // activate at t=0
 	// Immediately conflict: precharge may not start before tRAS.
 	issue, _ := b.Access(tck(tm.RCD), 9, false, &tm, 0)
@@ -61,7 +75,7 @@ func TestTRASConstrainsEarlyPrecharge(t *testing.T) {
 
 func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	_, wdone := b.Access(0, 3, true, &tm, 0)
 	issue, _ := b.Access(wdone, 4, false, &tm, 0)
 	// Precharge must wait tWR after write data.
@@ -72,7 +86,7 @@ func TestWriteRecoveryDelaysPrecharge(t *testing.T) {
 
 func TestCCDBackToBackColumns(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	i1, _ := b.Access(0, 5, false, &tm, 0)
 	i2, _ := b.Access(i1, 5, false, &tm, 0) // request immediately
 	if i2-i1 != tck(tm.CCD) {
@@ -82,10 +96,10 @@ func TestCCDBackToBackColumns(t *testing.T) {
 
 func TestWriteLatencyShorterThanRead(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	b.Access(0, 5, false, &tm, 0)
 	ir, dr := b.Access(100000, 5, false, &tm, 0)
-	b2 := NewBank()
+	var b2 Bank
 	b2.Access(0, 5, false, &tm, 0)
 	iw, dw := b2.Access(100000, 5, true, &tm, 0)
 	if dr-ir <= dw-iw {
@@ -96,7 +110,7 @@ func TestWriteLatencyShorterThanRead(t *testing.T) {
 func TestQuickAccessMonotonicAndLegal(t *testing.T) {
 	tm := Table1()
 	f := func(rows []uint8, gaps []uint8) bool {
-		b := NewBank()
+		var b Bank
 		now := sim.Time(0)
 		lastIssue := sim.Time(-1)
 		for i, r := range rows {
@@ -119,7 +133,7 @@ func TestQuickAccessMonotonicAndLegal(t *testing.T) {
 
 func TestAccessSequencesRecordNoViolations(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	now := sim.Time(0)
 	for _, row := range []int64{1, 1, 2, 3, 3, 3, 1} {
 		issue, done := b.Access(now, row, row%2 == 0, &tm, 0)
@@ -137,7 +151,7 @@ func TestIllegalFSMTransitionsAreRecorded(t *testing.T) {
 	tm := Table1()
 
 	// ACT while a row is open.
-	b := NewBank()
+	var b Bank
 	b.ActivateAt(0, 1, &tm)
 	b.ActivateAt(1000, 2, &tm)
 	if v := b.Violations(); len(v) != 1 {
@@ -145,14 +159,14 @@ func TestIllegalFSMTransitionsAreRecorded(t *testing.T) {
 	}
 
 	// PRE to a precharged bank.
-	b = NewBank()
+	b = Bank{}
 	b.PrechargeAt(0, &tm)
 	if v := b.Violations(); len(v) != 1 {
 		t.Fatalf("PRE on closed bank: %d violations, want 1 (%v)", len(v), v)
 	}
 
 	// Column command to a closed bank, then to the wrong row.
-	b = NewBank()
+	b = Bank{}
 	b.ColumnAt(0, 5, false, &tm, 0)
 	b.ActivateAt(10000, 6, &tm)
 	b.ColumnAt(20000, 7, true, &tm, 0)
@@ -163,7 +177,7 @@ func TestIllegalFSMTransitionsAreRecorded(t *testing.T) {
 
 func TestBankViolationsCappedAndDrained(t *testing.T) {
 	tm := Table1()
-	b := NewBank()
+	var b Bank
 	for i := 0; i < 10; i++ {
 		b.ColumnAt(sim.Time(i)*100000, int64(i), false, &tm, 0)
 		b.Precharge()
@@ -181,7 +195,7 @@ func TestBankViolationsCappedAndDrained(t *testing.T) {
 }
 
 func TestBankZeroValueViaNewIsClosed(t *testing.T) {
-	b := NewBank()
+	var b Bank
 	if b.OpenRow() != -1 {
 		t.Fatalf("new bank open row = %d, want -1", b.OpenRow())
 	}

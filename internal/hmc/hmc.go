@@ -86,14 +86,13 @@ type Stats struct {
 	Service   stats.Mean // ps from arrival to completion
 }
 
-// HMC is one cube instance. Its vaults and their DRAM banks are value
-// arrays built once by New: vault v's banks are banks[v*BanksPerVault :
-// (v+1)*BanksPerVault].
+// HMC is one cube instance. Its vaults are a value array built by New; a
+// vault's DRAM banks are built by its first Submit, so a vault that no
+// request reaches holds none.
 type HMC struct {
 	eng    *sim.Engine
 	cfg    Config
 	vaults []vault
-	banks  []dram.Bank
 
 	// Respond receives each request once its access completes: the cube's
 	// response port, which must be set before traffic flows.
@@ -115,16 +114,11 @@ func New(eng *sim.Engine, cfg Config) (*HMC, error) {
 		eng:    eng,
 		cfg:    cfg,
 		vaults: make([]vault, cfg.Vaults),
-		banks:  make([]dram.Bank, cfg.Vaults*cfg.BanksPerVault),
 	}
 	h.finish = func(a any) { h.complete(a.(*mem.Req)) }
-	for i := range h.banks {
-		h.banks[i] = dram.NewBank()
-	}
 	for i := range h.vaults {
 		v := &h.vaults[i]
 		v.h = h
-		v.banks = h.banks[i*cfg.BanksPerVault : (i+1)*cfg.BanksPerVault]
 		v.nextRefresh = sim.Infinity
 		if cfg.RefreshInterval > 0 {
 			v.nextRefresh = cfg.RefreshInterval
@@ -149,9 +143,13 @@ func (h *HMC) Submit(req *mem.Req) bool {
 	if req.Loc.Bank < 0 || req.Loc.Bank >= h.cfg.BanksPerVault {
 		panic(fmt.Sprintf("hmc: bank %d out of range", req.Loc.Bank))
 	}
-	if h.vaults[req.Loc.Vault].failed {
+	v := &h.vaults[req.Loc.Vault]
+	if v.failed {
 		h.Stats.Rejected.Inc()
 		return false
+	}
+	if v.banks == nil {
+		v.banks = make([]dram.Bank, h.cfg.BanksPerVault)
 	}
 	req.Arrive = h.eng.Now()
 	if req.Atomic {
@@ -161,7 +159,7 @@ func (h *HMC) Submit(req *mem.Req) bool {
 	} else {
 		h.Stats.Reads.Inc()
 	}
-	h.vaults[req.Loc.Vault].push(req)
+	v.push(req)
 	return true
 }
 
@@ -250,7 +248,7 @@ func (h *HMC) Instrument(p obs.Probe, name string) {
 }
 
 // vault is one vault controller: a request queue, a shared data bus, and
-// its banks (a slice of the cube's bank array).
+// its banks (nil until the vault's first request).
 type vault struct {
 	h     *HMC
 	banks []dram.Bank

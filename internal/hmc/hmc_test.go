@@ -317,3 +317,47 @@ func TestFailedVaultDrainsAndRejects(t *testing.T) {
 		t.Fatalf("audit violations after vault failure: %v", reg.Violations())
 	}
 }
+
+// TestBanksBuiltOnFirstSubmit checks that a vault holds no DRAM banks until
+// a request reaches it, that a failed vault's rejection builds none, and
+// that the audit drains bank violations from the vaults that have banks.
+func TestBanksBuiltOnFirstSubmit(t *testing.T) {
+	eng, h := newHMC(t, nil)
+	reg := audit.New(func() int64 { return int64(eng.Now()) })
+	h.Instrument(obs.Probe{Audit: reg}, "hmc0")
+	for vi := range h.vaults {
+		if h.vaults[vi].banks != nil {
+			t.Fatalf("vault %d holds banks before any request", vi)
+		}
+	}
+	h.FailVault(5)
+	if h.Submit(&mem.Req{Loc: mem.Loc{Vault: 5, Bank: 0, Row: 1}}) {
+		t.Fatal("failed vault accepted a request")
+	}
+	h.Submit(&mem.Req{Loc: mem.Loc{Vault: 3, Bank: 1, Row: 4}})
+	eng.Run()
+	for vi := range h.vaults {
+		want := 0
+		if vi == 3 {
+			want = h.cfg.BanksPerVault
+		}
+		if got := len(h.vaults[vi].banks); got != want {
+			t.Fatalf("vault %d holds %d banks, want %d", vi, got, want)
+		}
+	}
+	if row := h.vaults[3].banks[1].OpenRow(); row != 4 {
+		t.Fatalf("vault 3 bank 1 has row %d open, want 4", row)
+	}
+	if reg.Check() != 0 {
+		t.Fatalf("violations on a clean cube: %v", reg.Violations())
+	}
+	tm := h.cfg.Timing
+	h.vaults[3].banks[2].PrechargeAt(eng.Now(), &tm) // PRE to a closed bank
+	if reg.Check() != 1 || !strings.Contains(reg.Violations()[0].Msg, "vault 3 bank 2") {
+		t.Fatalf("bank violation not drained with its coordinates: %v", reg.Violations())
+	}
+	reg.Reset()
+	if reg.Check() != 0 {
+		t.Fatalf("violation reported twice: %v", reg.Violations())
+	}
+}

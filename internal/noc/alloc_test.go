@@ -2,9 +2,19 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 
 	"memnet/internal/sim"
 )
+
+// TestQueueEntrySize pins the input-VC queue entry at 40 bytes: the run
+// length fits in the padding after the elastic flag, so queueing a whole
+// response as one run costs no more per entry than one flit did.
+func TestQueueEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(bufFlit{}); got != 40 {
+		t.Fatalf("bufFlit is %d bytes, want 40", got)
+	}
+}
 
 // TestSaturatedSteadyStateZeroAllocs pins the tentpole property: once the
 // ring buffers, the packet free list and the event heap have reached their

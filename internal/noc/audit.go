@@ -24,7 +24,8 @@ import "fmt"
 //   - Busy sets: the routers, channels and terminals step visits are
 //     exactly those holding work (a buffered flit; a non-empty FIFO, credit
 //     queue or hold queue; a packet to send), and the per-port and
-//     per-router occupancy counts behind the router set are exact.
+//     per-router occupancy counts behind the router set are exact, as is
+//     each VC's flit count over its queued runs.
 //   - Pair sets: a router's waiting bit is set exactly on the inactive
 //     VCs that buffer a flit, its ejecting bit on the VCs allocated to
 //     ejection, and an output's claimant bit on the VCs allocated to
@@ -50,7 +51,7 @@ func (n *Network) residentFlits() int64 {
 	for _, r := range n.routers {
 		for _, p := range r.allPorts() {
 			for vi := range p.vcs {
-				k += int64(p.vcs[vi].q.Len())
+				k += int64(p.vcs[vi].flits)
 			}
 		}
 	}
@@ -124,8 +125,8 @@ func creditHoldingBuffered(p *inPort, vc int) int {
 	k := 0
 	q := &p.vcs[vc].q
 	for i := 0; i < q.Len(); i++ {
-		if !q.At(i).elastic {
-			k++
+		if bf := q.At(i); !bf.elastic {
+			k += int(bf.n)
 		}
 	}
 	return k
@@ -258,8 +259,22 @@ func (n *Network) auditBusySets(report func(string)) {
 		for pi, p := range r.allPorts() {
 			vcs := 0
 			for vi := range p.vcs {
-				if !p.vcs[vi].q.Empty() {
+				vc := &p.vcs[vi]
+				if !vc.q.Empty() {
 					vcs++
+				}
+				flits := 0
+				for i := 0; i < vc.q.Len(); i++ {
+					if k := int(vc.q.At(i).n); k > 0 {
+						flits += k
+					} else {
+						report(fmt.Sprintf("router %d input %d vc %d: queue entry %d holds a run of %d flits",
+							r.id, pi, vi, i, k))
+					}
+				}
+				if flits != vc.flits {
+					report(fmt.Sprintf("router %d input %d vc %d: runs hold %d flits, count says %d",
+						r.id, pi, vi, flits, vc.flits))
 				}
 			}
 			if vcs != p.occupied {

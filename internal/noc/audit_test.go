@@ -111,11 +111,11 @@ func TestNetworkAuditDetectsTampering(t *testing.T) {
 	pkt := &Packet{ID: 9999, Class: ClassRequest, SrcTerm: 0, SrcRouter: -1,
 		DstTerm: -1, DstRouter: r.id, Size: 1, Inter: -1}
 	rv := b.Net.reservedVC(ClassRequest)
-	r.in[0].vcs[rv].q.Push(bufFlit{f: flit{pkt: pkt}})
+	r.in[0].vcs[rv].push(bufFlit{f: flit{pkt: pkt}, n: 1})
 	if reg.Check() == 0 {
 		t.Error("illegal reserved-VC occupancy not detected")
 	}
-	r.in[0].vcs[rv].q.Pop()
+	r.in[0].vcs[rv].pop()
 	reg.Reset()
 
 	// Stale busy bits on idle components, and pair-set bits that no
@@ -128,6 +128,7 @@ func TestNetworkAuditDetectsTampering(t *testing.T) {
 		{"stale ejecting bit", func() { r.ejecting.add(0) }, func() { r.ejecting.remove(0) }},
 		{"stale claimant bit", func() { r.out[0].claimants.add(0) }, func() { r.out[0].claimants.remove(0) }},
 		{"stale claimed output", func() { r.claimed.add(0) }, func() { r.claimed.remove(0) }},
+		{"miscounted VC flits", func() { r.in[0].vcs[0].flits++ }, func() { r.in[0].vcs[0].flits-- }},
 	}
 	for _, c := range stale {
 		c.do()

@@ -26,7 +26,7 @@ func (n *Network) DumpState(w io.Writer) {
 					label = "NI"
 				}
 				fmt.Fprintf(w, "router %d %s vc%d: %d flits active=%v outPort=%d outVC=%d",
-					r.id, label, vi, vc.q.Len(), vc.active, vc.outPort, vc.outVC)
+					r.id, label, vi, vc.flits, vc.active, vc.outPort, vc.outVC)
 				if !vc.q.Empty() {
 					f := vc.q.Front()
 					fmt.Fprintf(w, " front{pkt=%d idx=%d/%d ready=%d elastic=%v}",

@@ -53,13 +53,15 @@ func (h *grantHub) arrive(port, vc int, pkt *Packet) {
 
 // cycle runs the hub's share of one network cycle, switch traversal then
 // VC allocation as Network.step orders them, and returns the (port, VC)
-// pairs that sent a flit, ascending.
+// pairs that sent a flit, ascending. A grant shows as a drop in the VC's
+// flit count: the NI queues a packet as one run, so its queue length
+// falls only with the tail.
 func (h *grantHub) cycle() string {
 	ports := h.r.allPorts()
 	before := make([][]int, len(ports))
 	for pi, p := range ports {
 		for vi := range p.vcs {
-			before[pi] = append(before[pi], p.vcs[vi].q.Len())
+			before[pi] = append(before[pi], p.vcs[vi].flits)
 		}
 	}
 	h.n.cycle++
@@ -68,7 +70,7 @@ func (h *grantHub) cycle() string {
 	s := ""
 	for pi, p := range ports {
 		for vi := range p.vcs {
-			if p.vcs[vi].q.Len() < before[pi][vi] {
+			if p.vcs[vi].flits < before[pi][vi] {
 				s += fmt.Sprintf("(%d,%d)", pi, vi)
 			}
 		}

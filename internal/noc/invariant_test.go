@@ -76,8 +76,8 @@ func TestNoResidualBufferedFlits(t *testing.T) {
 	for _, r := range b.Net.routers {
 		for _, p := range r.allPorts() {
 			for vi := range p.vcs {
-				if p.vcs[vi].q.Len() != 0 {
-					t.Fatalf("router %d holds %d stale flits", r.id, p.vcs[vi].q.Len())
+				if p.vcs[vi].flits != 0 || !p.vcs[vi].q.Empty() {
+					t.Fatalf("router %d holds %d stale flits", r.id, p.vcs[vi].flits)
 				}
 				if p.vcs[vi].active {
 					t.Fatalf("router %d has an active VC after drain", r.id)

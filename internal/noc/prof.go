@@ -19,7 +19,7 @@ func (n *Network) classifyCycle() {
 			base := pi * rh.VCs
 			for vi := range p.vcs {
 				vc := &p.vcs[vi]
-				depth := vc.q.Len()
+				depth := vc.flits
 				if depth == 0 {
 					continue
 				}

@@ -10,22 +10,48 @@ import (
 // router (delivery into the HMC's vault controllers).
 const ejectPort = -2
 
+// bufFlit is one input-VC queue entry: a run of n consecutive flits of
+// one packet, f being the first of them. A channel arrival is a run of
+// one; the NI enqueues a whole response as one run, whose flits become
+// ready on consecutive cycles. The entry stays 40 bytes.
 type bufFlit struct {
 	f       flit
-	elastic bool // arrived via pass-through express: no credit was reserved
+	elastic bool // arrived via pass-through express or the NI: no credit was reserved
+	n       int32
 }
 
 // inVC is one input virtual-channel buffer. The queue is a ring: in steady
 // state a flit-hop performs one Push and one Pop with no slice growth —
 // the seed's append + q[1:] idiom reallocated the backing array every
 // BufFlitsPerVC flits. Credited traffic is bounded by BufFlitsPerVC; the
-// ring only grows past that for elastic flits (NI injection, overlay
+// ring only grows past that for elastic entries (NI responses, overlay
 // express), and then stabilizes at the high-water mark.
 type inVC struct {
 	q       pool.Ring[bufFlit]
+	flits   int // flits buffered: the sum of the queued runs' lengths
 	active  bool
 	outPort int
 	outVC   int
+}
+
+// push appends a run to the queue.
+func (vc *inVC) push(bf bufFlit) {
+	vc.q.Push(bf)
+	vc.flits += int(bf.n)
+}
+
+// pop removes the front flit: the whole front entry if it is a run of
+// one, else the run's first flit, the next one of which is ready a cycle
+// later.
+func (vc *inVC) pop() {
+	vc.flits--
+	if front := vc.q.Front(); front.n > 1 {
+		front.n--
+		front.f.idx++
+		front.f.readyCycle++
+		return
+	}
+	vc.q.Pop()
 }
 
 type inPort struct {
@@ -110,13 +136,10 @@ func (r *Router) Degree() int { return len(r.out) }
 // buffers, including the NI injection port.
 func (r *Router) BufferedFlits() int {
 	n := 0
-	for _, p := range r.in {
+	for _, p := range r.ports {
 		for vi := range p.vcs {
-			n += p.vcs[vi].q.Len()
+			n += p.vcs[vi].flits
 		}
-	}
-	for vi := range r.ni.vcs {
-		n += r.ni.vcs[vi].q.Len()
 	}
 	return n
 }
@@ -153,24 +176,23 @@ func (r *Router) receive(n *Network, port int, it channelItem) {
 		// saturated steady state without inflating topology construction.
 		vc.q.Grow(n.cfg.BufFlitsPerVC)
 	}
-	vc.q.Push(bufFlit{f: f, elastic: it.f.passChain})
+	vc.push(bufFlit{f: f, elastic: it.f.passChain, n: 1})
 }
 
 // enqueueLocal injects a locally generated packet (an HMC response) through
-// the router's network interface.
+// the router's network interface: one run of pkt.Size flits, serialized
+// at one flit per cycle from the NI's next free cycle.
 func (r *Router) enqueueLocal(pkt *Packet) {
-	vc := r.net.vcIndex(pkt)
+	vi := r.net.vcIndex(pkt)
 	start := r.net.cycle + 1
 	if r.niSerial > start {
 		start = r.niSerial
 	}
-	if r.ni.vcs[vc].q.Empty() {
-		r.fill(r.ni, &r.ni.vcs[vc], len(r.in)*r.net.totalVCs()+vc)
+	vc := &r.ni.vcs[vi]
+	if vc.q.Empty() {
+		r.fill(r.ni, vc, len(r.in)*r.net.totalVCs()+vi)
 	}
-	for i := 0; i < pkt.Size; i++ {
-		f := flit{pkt: pkt, idx: i, readyCycle: start + int64(i)}
-		r.ni.vcs[vc].q.Push(bufFlit{f: f, elastic: true})
-	}
+	vc.push(bufFlit{f: flit{pkt: pkt, readyCycle: start}, elastic: true, n: int32(pkt.Size)})
 	r.net.flitsInjected += int64(pkt.Size)
 	r.niSerial = start + int64(pkt.Size)
 }
@@ -244,7 +266,7 @@ func (r *Router) switchTraversal(n *Network) {
 		if bf.f.readyCycle > n.cycle {
 			continue
 		}
-		vc.q.Pop()
+		vc.pop()
 		if vc.q.Empty() {
 			r.drain(p)
 		}
@@ -287,7 +309,7 @@ func (r *Router) switchTraversal(n *Network) {
 				if bf.f.readyCycle > n.cycle || op.credits[vc.outVC] <= 0 {
 					continue
 				}
-				vc.q.Pop()
+				vc.pop()
 				if vc.q.Empty() {
 					r.drain(p)
 				}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"memnet/internal/telemetry"
 )
@@ -46,9 +45,8 @@ const quarantineDir = "quarantine"
 // concurrent writers of the same key converge on identical content, since
 // keys are hashes of the inputs that deterministically produced the value.
 type Store struct {
-	dir         string
-	met         Counters
-	corruptions atomic.Int64
+	dir string
+	met Counters
 }
 
 // Counters are the store's optional telemetry hooks. Nil counters no-op
@@ -65,10 +63,6 @@ type Counters struct {
 // Instrument attaches telemetry counters to the store. Call before
 // serving; the store never mutates the counters' registration.
 func (s *Store) Instrument(c Counters) { s.met = c }
-
-// Corruptions returns how many blobs this store has quarantined since it
-// was opened (the process-local view behind the cache_corruptions stat).
-func (s *Store) Corruptions() int64 { return s.corruptions.Load() }
 
 // Open ensures dir exists and is writable and returns the store. The
 // writability probe fails fast at startup instead of on the first Put
@@ -177,7 +171,6 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 // next Put rewrites it. A second corruption of the same key overwrites
 // the quarantined copy — the freshest evidence wins.
 func (s *Store) quarantine(key string) {
-	s.corruptions.Add(1)
 	s.met.Corruptions.Inc()
 	qdir := s.QuarantinePath()
 	if err := os.MkdirAll(qdir, 0o755); err != nil {

@@ -5,10 +5,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memnet/internal/telemetry"
 )
 
 func validKey(seed byte) string {
 	return strings.Repeat(string([]byte{'a' + seed%6}), 64)
+}
+
+// openCounted opens a store in a fresh directory that counts its
+// quarantines on the returned counter.
+func openCounted(t *testing.T) (*Store, *telemetry.Counter) {
+	t.Helper()
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptions := new(telemetry.Counter)
+	st.Instrument(Counters{Corruptions: corruptions})
+	return st, corruptions
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -98,10 +113,7 @@ func TestBadKeys(t *testing.T) {
 // to quarantine/, counted, and reported as a miss so the caller
 // recomputes; a fresh Put then restores the entry.
 func TestCorruptionQuarantined(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, corruptions := openCounted(t)
 	key := validKey(2)
 	want := "Fig. 7 | GMN 2.27x\n"
 	if err := st.Put(key, []byte(want)); err != nil {
@@ -126,7 +138,7 @@ func TestCorruptionQuarantined(t *testing.T) {
 	if ok {
 		t.Fatalf("corrupt blob was served: %q", got)
 	}
-	if n := st.Corruptions(); n != 1 {
+	if n := corruptions.Value(); n != 1 {
 		t.Fatalf("Corruptions = %d, want 1", n)
 	}
 	if _, err := os.Stat(filepath.Join(st.QuarantinePath(), key)); err != nil {
@@ -153,10 +165,7 @@ func TestCorruptionQuarantined(t *testing.T) {
 // written by a pre-framing version, or a stray file) is quarantined too —
 // nothing unverifiable is ever served.
 func TestBadHeaderQuarantined(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, corruptions := openCounted(t)
 	key := validKey(3)
 	path := filepath.Join(st.Dir(), key[:2], key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -168,7 +177,7 @@ func TestBadHeaderQuarantined(t *testing.T) {
 	if _, ok, err := st.Get(key); err != nil || ok {
 		t.Fatalf("unframed blob served: ok=%v err=%v", ok, err)
 	}
-	if n := st.Corruptions(); n != 1 {
+	if n := corruptions.Value(); n != 1 {
 		t.Fatalf("Corruptions = %d, want 1", n)
 	}
 }
@@ -176,10 +185,7 @@ func TestBadHeaderQuarantined(t *testing.T) {
 // TestTruncatedBlobQuarantined: a blob cut mid-body (a torn write that
 // somehow survived the atomic-rename discipline) fails verification.
 func TestTruncatedBlobQuarantined(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, corruptions := openCounted(t)
 	key := validKey(4)
 	if err := st.Put(key, []byte("a result long enough to truncate\n")); err != nil {
 		t.Fatal(err)
@@ -195,7 +201,7 @@ func TestTruncatedBlobQuarantined(t *testing.T) {
 	if _, ok, _ := st.Get(key); ok {
 		t.Fatal("truncated blob was served")
 	}
-	if n := st.Corruptions(); n != 1 {
+	if n := corruptions.Value(); n != 1 {
 		t.Fatalf("Corruptions = %d, want 1", n)
 	}
 }

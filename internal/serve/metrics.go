@@ -35,6 +35,7 @@ type serveMetrics struct {
 	recoveredJobs *telemetry.Counter // jobs revived/re-queued by restart recovery
 	shedRequests  *telemetry.Counter // submissions shed by admission control
 	pendingErrors *telemetry.Counter // pending-entry write/delete failures (metric keeps its journal name)
+	corruptions   *telemetry.Counter // result blobs quarantined; nil without a cache directory
 	subscribers   *telemetry.Gauge   // live event-stream followers
 	draining      *telemetry.Gauge   // 0/1
 	runningJobs   *telemetry.Gauge   // 0/1 (dispatch is serial)
@@ -99,15 +100,18 @@ func newServeMetrics(reg *telemetry.Registry, s *Server) *serveMetrics {
 	return m
 }
 
-// diskCounters returns the result store's cachedir instrumentation hooks.
+// diskCounters registers the result store's cachedir instrumentation
+// hooks and keeps its quarantine counter for Stats.
 func (m *serveMetrics) diskCounters() cachedir.Counters {
-	return cachedir.Counters{
+	c := cachedir.Counters{
 		Hits:        m.reg.Counter("memnetd_disk_cache_hits_total", "disk cache blobs found"),
 		Misses:      m.reg.Counter("memnetd_disk_cache_misses_total", "disk cache lookups that found nothing"),
 		Writes:      m.reg.Counter("memnetd_disk_cache_writes_total", "results persisted to the disk cache"),
 		Errors:      m.reg.Counter("memnetd_disk_cache_errors_total", "disk cache I/O failures"),
 		Corruptions: m.reg.Counter("memnetd_cache_corruptions_total", "disk cache blobs quarantined after failing content verification"),
 	}
+	m.corruptions = c.Corruptions
+	return c
 }
 
 // setClientQueuesLocked refreshes the per-client queue-length gauges from

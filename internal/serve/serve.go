@@ -433,14 +433,12 @@ func (s *Server) Stats() Stats {
 		Failed:         m.jobsFailed.Value(),
 		Cancelled:      m.jobsCancelled.Value(),
 		Recovered:      m.recoveredJobs.Value(),
+		Corruptions:    m.corruptions.Value(),
 		Version:        BuildVersion(),
 	}
 	s.mu.Lock()
 	st.Queued = s.queuedN
 	st.Draining = s.draining
-	if s.disk != nil {
-		st.Corruptions = s.disk.Corruptions()
-	}
 	j := s.running
 	if j != nil {
 		st.Running = 1

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -426,6 +428,41 @@ func TestDiskCache(t *testing.T) {
 	}
 	if st := s2.Stats(); st.CacheHits != 1 || st.SimulationsRun != 0 {
 		t.Fatalf("stats = %+v, want a pure disk cache hit", st)
+	}
+}
+
+// TestDiskCorruptionCounted corrupts a persisted result and checks that a
+// restarted server recomputes it and counts the quarantine once, in the
+// registry: Stats reads cache_corruptions from the same counter /metrics
+// exposes.
+func TestDiskCorruptionCounted(t *testing.T) {
+	dir := t.TempDir()
+	runner1, _ := countingRunner(nil, nil)
+	s1 := newServer(t, serve.Config{Runner: runner1, CacheDir: dir})
+	want := submitWait(t, s1, spec("fig7", 0.1, "a"))
+	s1.Shutdown(ctxT(t))
+
+	_, key := canon(t, spec("fig7", 0.1, "a"))
+	path := filepath.Join(dir, key[:2], key)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	runner2, lg2 := countingRunner(nil, nil)
+	s2 := newServer(t, serve.Config{Runner: runner2, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	defer s2.Shutdown(ctxT(t))
+	if got := submitWait(t, s2, spec("fig7", 0.1, "a")); got != want || len(lg2.snapshot()) != 1 {
+		t.Fatalf("corrupt entry: served %q after %d runs, want %q recomputed once", got, len(lg2.snapshot()), want)
+	}
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	if st, m := s2.Stats().Corruptions, metric(t, scrape(t, ts), "memnetd_cache_corruptions_total"); st != 1 || m != 1 {
+		t.Fatalf("cache_corruptions = %d, memnetd_cache_corruptions_total = %v, want 1 and 1", st, m)
 	}
 }
 
